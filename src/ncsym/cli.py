@@ -57,13 +57,23 @@ def _cmd_counit(args):
 
 def _cmd_antipode(args):
     part = SetPartition.parse(args.partition)
-    if part.length > WARN_PARTS:
-        print(
-            f"warning: {part.length} blocks; the composition sum grows like the "
-            "ordered Bell numbers and will be slow",
-            file=sys.stderr,
+    x = NCSymElement.from_partition(part)
+    # Warn on the size that bounds the chosen method's cost.
+    if args.method == "factored":
+        size = max((atom.length for atom in part.atoms()), default=0)
+        subject = f"an atom of {size} blocks"
+        growth = "the per-atom recursion grows like 3^r for an atom of r blocks"
+    else:
+        size = part.length
+        subject = f"{size} blocks"
+        growth = (
+            "the composition sum grows like the ordered Bell numbers"
+            if args.method == "direct"
+            else "the coproduct recursion grows exponentially"
         )
-    _emit_element(hopf.antipode(NCSymElement.from_partition(part), args.method), args.fmt)
+    if size > WARN_PARTS:
+        print(f"warning: {subject}; {growth} and will be slow", file=sys.stderr)
+    _emit_element(hopf.antipode(x, args.method), args.fmt)
     return 0
 
 
@@ -252,7 +262,10 @@ def build_parser():
         "--method",
         choices=("direct", "factored", "oracle"),
         default="factored",
-        help="direct composition sum, factored refinement sum (default), or the recursion",
+        help=f"direct composition sum (at most {hopf.MAX_PARTS} blocks), factored: by "
+        "atoms, each atom's composition sum by first-part recursion, up to 3^r pairs "
+        f"for r blocks (default; at most {hopf.MAX_PARTS} blocks per atom), or the "
+        "oracle recursion",
     )
     p.set_defaults(handler=_cmd_antipode)
 

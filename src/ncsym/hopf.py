@@ -4,10 +4,13 @@ Elements are finitely supported integer combinations of standard set
 partitions.  The product concatenates basis partitions; the coproduct sums
 standardized splits of the block set over all ordered disjoint unions of the
 block indices.  The antipode comes in three forms: the full signed sum over
-set compositions, the shorter sum over refinements of the reversed atomic
-splitting, and a memoized graded-connected recursion used as an independent
-oracle.  The primitive generators, their leading-term order, and the Hall
-bracket basis of the primitive Lie algebra live here too.
+set compositions; the default route by atoms, which applies the antipode as
+an antimorphism over the atomic splitting and evaluates each atom's
+composition sum by recursion on its first part (at most 3^r head/tail pairs
+for an atom of r blocks, against Fubini(r) compositions); and a memoized
+graded-connected recursion used as an independent oracle.  The primitive
+generators, their leading-term order, and the Hall bracket basis of the
+primitive Lie algebra live here too.
 
 Everything is exact: coefficients are Python ints, and the kernel
 computations run on fraction-free integer elimination.
@@ -21,11 +24,9 @@ import itertools
 from .linalg import integer_rank
 from .setparts import (
     EMPTY_PARTITION,
-    SetComposition,
     SetPartition,
     anchored_compositions,
     atomic_set_partitions,
-    refinements,
     set_compositions,
     set_partitions,
 )
@@ -58,7 +59,9 @@ __all__ = [
 ]
 
 # Fubini(10) ~ 1.02e8 summands is the practical wall for the composition-sum
-# formulas; larger inputs are rejected rather than left to run for hours.
+# formulas, which cap the total block count here; the default antipode route
+# caps each atom's block count instead (3^10 = 59 049 head/tail pairs).
+# Larger inputs are rejected rather than left to run for hours.
 MAX_PARTS = 10
 
 
@@ -318,26 +321,51 @@ def antipode_direct(part):
 
 
 def antipode_factored(part):
-    """Antipode via refinements of the reversed atomic splitting.
+    """Antipode by atoms: the default route.
 
-    With atoms of lengths r_1..r_t, the block indices group into consecutive
-    ranges; the sum runs over all refinements of the composition listing
-    those ranges in reverse.  For atomic inputs this is the full composition
-    sum; nonempty input required (the element-level wrapper covers the unit).
+    S is an antimorphism over the atomic splitting, S(A) = S(A_t)...S(A_1).
+    An atom's antipode is its signed composition sum, taken by recursion on
+    the first part K: S(A) = -sum over nonempty K of std(A|K) * S(std(A|rest)),
+    with the splits read off the coproduct (equal ones already combined) and
+    each tail's antipode again by atoms.  Every partition met is a standardized
+    sub-partition of the input, memoized for this call only, so an atom of r
+    blocks costs at most 3^r head/tail pairs and a many-atom input the sum of
+    its atoms' costs.  Inputs with an atom of more than ``MAX_PARTS`` blocks
+    are refused before any enumeration; nonempty input required (the
+    element-level wrapper covers the unit).
     """
     _require_standard(part, "antipode")
-    _require_small(part)
     if part.weight == 0:
         raise ValueError("use the element-level antipode for the empty partition")
-    ranges = []
-    start = 1
-    for atom in part.atoms():
-        ranges.append(tuple(range(start, start + atom.length)))
-        start += atom.length
-    rho = SetComposition(reversed(ranges))
-    return NCSymElement(
-        (gamma.evaluate(part), (-1) ** gamma.length) for gamma in refinements(rho)
-    )
+    widest = max(atom.length for atom in part.atoms())
+    if widest > MAX_PARTS:
+        raise ValueError(
+            f"partition has an atom of {widest} blocks; "
+            f"the factored antipode supports atoms of at most {MAX_PARTS}"
+        )
+    memo = {}
+
+    def value(p):
+        if p not in memo:
+            atoms = p.atoms()
+            if len(atoms) == 1:
+                # Coproduct terms with a nonempty left side are the first
+                # parts K, each paired with its standardized tail.
+                splits = coproduct(NCSymElement.from_partition(p))._terms.items()
+                memo[p] = NCSymElement(
+                    (head.concat(q), -coeff * c)
+                    for (head, tail), coeff in splits
+                    if head.weight
+                    for q, c in value(tail)._terms.items()
+                )
+            else:
+                total = NCSymElement.unit()
+                for atom in atoms:
+                    total = value(atom) * total
+                memo[p] = total
+        return memo[p]
+
+    return value(part)
 
 
 @functools.cache

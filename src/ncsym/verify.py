@@ -14,6 +14,7 @@ fixed seed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -125,17 +126,6 @@ def _pair_pool(max_weight, rng):
         ]
         pairs.extend(rng.sample(candidates, min(SAMPLE_PAIRS, len(candidates))))
     return pairs
-
-
-def _memo_antipode():
-    cache = {}
-
-    def value(part):
-        if part not in cache:
-            cache[part] = hopf.antipode(NCSymElement.from_partition(part))
-        return cache[part]
-
-    return value
 
 
 def check_cardinalities(max_weight, rng):
@@ -269,7 +259,7 @@ def check_bialgebra(max_weight, rng):
 
 def check_antipode_convolution(max_weight, rng):
     res = CheckResult("antipode-convolution")
-    S = _memo_antipode()
+    S = functools.cache(lambda part: hopf.antipode(NCSymElement.from_partition(part)))
     identity = NCSymElement.from_partition
     for part in _partition_pool(max_weight, rng):
         expected = NCSymElement.unit() if part.weight == 0 else NCSymElement.zero()
@@ -295,7 +285,7 @@ def check_antipode_methods(max_weight, rng):
 
 def check_antipode_antimorphism(max_weight, rng):
     res = CheckResult("antipode-antimorphism")
-    S = _memo_antipode()
+    S = functools.cache(lambda part: hopf.antipode(NCSymElement.from_partition(part)))
     for left, right in _pair_pool(max_weight, rng):
         x = NCSymElement.from_partition(left)
         y = NCSymElement.from_partition(right)

@@ -98,6 +98,25 @@ class TestBasicCommands:
         assert lines[1] == "ok antipode-methods cases=4"
 
 
+class TestAntipodeSizes:
+    def test_many_atoms_run_without_warning(self, capsys):
+        code, out, err = run_cli(capsys, "antipode", "1.2.3.4.5.6.7.8.9.10.11,")
+        assert (code, out, err) == (0, "-(1.2.3.4.5.6.7.8.9.10.11,)\n", "")
+
+    def test_wide_atom_refused(self, capsys):
+        code, out, err = run_cli(capsys, "antipode", "1,12.2.3.4.5.6.7.8.9.10.11")
+        assert (code, out) == (2, "")
+        assert "atom of 11 blocks" in err
+
+    def test_warning_follows_the_method(self, capsys):
+        nine = "1.2.3.4.5.6.7.8.9"
+        assert run_cli(capsys, "antipode", nine)[2] == ""
+        code, _, err = run_cli(capsys, "antipode", nine, "--method", "oracle")
+        assert code == 0
+        assert err.startswith("warning: 9 blocks;")
+        assert "composition sum" not in err
+
+
 class TestErrors:
     def test_parse_error_names_token(self, capsys):
         code, _, err = run_cli(capsys, "antipode", "1x.2")

@@ -139,6 +139,23 @@ class TestAntipode:
         for text in ("14.2.3", "17.235.4.68", "1"):
             assert antipode_factored(P(text)) == antipode_direct(P(text))
 
+    def test_default_route_at_weights_five_and_six(self):
+        for part in set_partitions(5):
+            assert antipode_factored(part) == antipode_direct(part)
+        for part in set_partitions(6):
+            assert antipode_factored(part) == antipode_oracle(part)
+
+    def test_many_atoms_past_the_block_cap(self):
+        singletons = P("1.2.3.4.5.6.7.8.9.10.11,")
+        assert singletons.length > MAX_PARTS
+        assert antipode(E(singletons)) == -E(singletons)
+
+    def test_default_route_caps_each_atom(self):
+        wide_atom = P("1,12.2.3.4.5.6.7.8.9.10.11")
+        assert wide_atom.is_atomic() and wide_atom.length == MAX_PARTS + 1
+        with pytest.raises(ValueError, match="atom of 11 blocks"):
+            antipode_factored(wide_atom)
+
     def test_oracle_small_values(self):
         assert antipode_oracle(P("1")) == element(("1", -1))
         assert antipode_oracle(P("12.3")) == element(("1.23", 1))
