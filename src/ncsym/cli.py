@@ -58,7 +58,7 @@ def _cmd_counit(args):
 def _cmd_antipode(args):
     part = SetPartition.parse(args.partition)
     x = NCSymElement.from_partition(part)
-    # Warn on the size that bounds the chosen method's cost.
+    # Warn on the size that bounds the chosen method's cost, if the method runs.
     if args.method == "factored":
         size = max((atom.length for atom in part.atoms()), default=0)
         subject = f"an atom of {size} blocks"
@@ -71,7 +71,7 @@ def _cmd_antipode(args):
             if args.method == "direct"
             else "the coproduct recursion grows exponentially"
         )
-    if size > WARN_PARTS:
+    if size > WARN_PARTS and (args.method == "oracle" or size <= hopf.MAX_PARTS):
         print(f"warning: {subject}; {growth} and will be slow", file=sys.stderr)
     _emit_element(hopf.antipode(x, args.method), args.fmt)
     return 0

@@ -14,6 +14,11 @@ primitive Lie algebra live here too.
 
 Everything is exact: coefficients are Python ints, and the kernel
 computations run on fraction-free integer elimination.
+
+Elements are validated where they enter: the public constructors, which
+``serialize`` decodes through, and the arguments of public functions.  Sums,
+products, coproducts and antipodes are trusted: ``_Combination._combine``
+builds them without re-checking their canonical keys.
 """
 
 from __future__ import annotations
@@ -65,16 +70,6 @@ __all__ = [
 MAX_PARTS = 10
 
 
-def _accumulate(pairs, validate_key):
-    data = {}
-    for key, coeff in pairs:
-        validate_key(key)
-        if not isinstance(coeff, int) or isinstance(coeff, bool):
-            raise TypeError(f"coefficients must be int, got {coeff!r}")
-        data[key] = data.get(key, 0) + coeff
-    return {key: c for key, c in data.items() if c}
-
-
 def _check_basis_partition(part):
     if not isinstance(part, SetPartition):
         raise TypeError(f"term keys must be SetPartition, got {type(part).__name__}")
@@ -82,54 +77,66 @@ def _check_basis_partition(part):
         raise ValueError(f"element terms must be standard partitions, got {part!r}")
 
 
-class NCSymElement:
-    """Integer linear combination of standard set partitions.
+def _check_tensor_key(pair):
+    if not (isinstance(pair, tuple) and len(pair) == 2):
+        raise TypeError("tensor keys must be pairs of partitions")
+    _check_basis_partition(pair[0])
+    _check_basis_partition(pair[1])
 
-    Zero coefficients are never stored; equality is term-map equality.
-    Instances are immutable and hashable.
-    """
+
+def _summed(pairs):
+    data = {}
+    for key, coeff in pairs:
+        data[key] = data.get(key, 0) + coeff
+    return {key: c for key, c in data.items() if c}
+
+
+class _Combination:
+    """Shared body of ``NCSymElement`` and ``TensorElement``: immutable integer
+    combinations of keys, the subclass naming key check, order and product.
+    No zero coefficient is stored; equality is term-map equality."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=()):
         pairs = terms.items() if hasattr(terms, "items") else terms
-        self._terms = _accumulate(pairs, _check_basis_partition)
+        self._terms = _summed(map(self._checked, pairs))
+
+    def _checked(self, pair):
+        key, coeff = pair
+        self._check_key(key)
+        if not isinstance(coeff, int) or isinstance(coeff, bool):
+            raise TypeError(f"coefficients must be int, got {coeff!r}")
+        return pair
 
     @classmethod
-    def from_partition(cls, part):
-        return cls(((part, 1),))
-
-    @classmethod
-    def unit(cls):
-        return cls(((EMPTY_PARTITION, 1),))
+    def _combine(cls, pairs):
+        """Trusted constructor: sums (key, int) pairs whose keys are canonical."""
+        self = object.__new__(cls)
+        self._terms = _summed(pairs)
+        return self
 
     @classmethod
     def zero(cls):
         return cls()
 
-    def coefficient(self, part):
-        return self._terms.get(part, 0)
+    def coefficient(self, key):
+        return self._terms.get(key, 0)
 
     def support(self):
-        return sorted(self._terms, key=SetPartition.sort_key)
+        return sorted(self._terms, key=self._sort_key)
 
     def items(self):
-        return [(part, self._terms[part]) for part in self.support()]
+        return [(key, self._terms[key]) for key in self.support()]
 
     def is_zero(self):
         return not self._terms
-
-    def weights(self):
-        return sorted({part.weight for part in self._terms})
-
-    def is_homogeneous(self):
-        return len(self.weights()) <= 1
 
     def __bool__(self):
         return bool(self._terms)
 
     def __eq__(self, other):
-        if not isinstance(other, NCSymElement):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self._terms == other._terms
 
@@ -137,24 +144,24 @@ class NCSymElement:
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other):
-        if not isinstance(other, NCSymElement):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        return NCSymElement(list(self._terms.items()) + list(other._terms.items()))
+        return self._combine(itertools.chain(self._terms.items(), other._terms.items()))
 
     def __sub__(self, other):
-        if not isinstance(other, NCSymElement):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self + (-other)
 
     def __neg__(self):
-        return NCSymElement((part, -c) for part, c in self._terms.items())
+        return self._combine((key, -c) for key, c in self._terms.items())
 
     def __mul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
-            return NCSymElement((part, c * other) for part, c in self._terms.items())
-        if isinstance(other, NCSymElement):
-            return NCSymElement(
-                (a.concat(b), ca * cb)
+            return self._combine((key, c * other) for key, c in self._terms.items())
+        if isinstance(other, type(self)):
+            return self._combine(
+                (self._key_product(a, b), ca * cb)
                 for a, ca in self._terms.items()
                 for b, cb in other._terms.items()
             )
@@ -165,6 +172,29 @@ class NCSymElement:
             return self * other
         return NotImplemented
 
+
+class NCSymElement(_Combination):
+    """Integer linear combination of standard set partitions."""
+
+    __slots__ = ()
+    _check_key = staticmethod(_check_basis_partition)
+    _sort_key = staticmethod(SetPartition.sort_key)
+    _key_product = staticmethod(SetPartition.concat)
+
+    @classmethod
+    def from_partition(cls, part):
+        return cls(((part, 1),))
+
+    @classmethod
+    def unit(cls):
+        return cls._combine(((EMPTY_PARTITION, 1),))
+
+    def weights(self):
+        return sorted({part.weight for part in self._terms})
+
+    def is_homogeneous(self):
+        return len(self.weights()) <= 1
+
     def __str__(self):
         return format_element(self)
 
@@ -172,85 +202,27 @@ class NCSymElement:
         return f"NCSymElement<{format_element(self)}>"
 
 
-def _check_tensor_key(pair):
-    if not (isinstance(pair, tuple) and len(pair) == 2):
-        raise TypeError("tensor keys must be pairs of partitions")
-    _check_basis_partition(pair[0])
-    _check_basis_partition(pair[1])
-
-
-class TensorElement:
+class TensorElement(_Combination):
     """Integer combination of ordered pairs of standard set partitions."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    _check_key = staticmethod(_check_tensor_key)
 
-    def __init__(self, terms=()):
-        pairs = terms.items() if hasattr(terms, "items") else terms
-        self._terms = _accumulate(pairs, _check_tensor_key)
+    @staticmethod
+    def _sort_key(pair):
+        return pair[0].sort_key(), pair[1].sort_key()
 
-    @classmethod
-    def zero(cls):
-        return cls()
+    @staticmethod
+    def _key_product(a, b):
+        return a[0].concat(b[0]), a[1].concat(b[1])
 
     @classmethod
     def pure(cls, left, right, coeff=1):
         return cls((((left, right), coeff),))
 
-    def coefficient(self, pair):
-        return self._terms.get(pair, 0)
-
-    def support(self):
-        return sorted(self._terms, key=lambda pq: (pq[0].sort_key(), pq[1].sort_key()))
-
-    def items(self):
-        return [(pair, self._terms[pair]) for pair in self.support()]
-
-    def is_zero(self):
-        return not self._terms
-
     def twist(self):
         """Swap the tensor factors."""
-        return TensorElement(((q, p), c) for (p, q), c in self._terms.items())
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return TensorElement(list(self._terms.items()) + list(other._terms.items()))
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorElement((pair, -c) for pair, c in self._terms.items())
-
-    def __mul__(self, other):
-        if isinstance(other, int) and not isinstance(other, bool):
-            return TensorElement((pair, c * other) for pair, c in self._terms.items())
-        if isinstance(other, TensorElement):
-            return TensorElement(
-                (((a1.concat(b1), a2.concat(b2)), ca * cb))
-                for (a1, a2), ca in self._terms.items()
-                for (b1, b2), cb in other._terms.items()
-            )
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self * other
-        return NotImplemented
+        return self._combine(((q, p), c) for (p, q), c in self._terms.items())
 
     def __str__(self):
         return format_tensor(self)
@@ -274,17 +246,16 @@ def coproduct(x):
     """
     out = []
     for part, coeff in x.items():
-        idx = range(1, part.length + 1)
-        for k in range(part.length + 1):
-            for left in itertools.combinations(idx, k):
-                taken = set(left)
-                right = tuple(i for i in idx if i not in taken)
+        blocks = part.blocks
+        for k in range(len(blocks) + 1):
+            for left in itertools.combinations(blocks, k):
+                right = tuple(b for b in blocks if b not in left)
                 key = (
-                    part.sub_partition(left).standardize(),
-                    part.sub_partition(right).standardize(),
+                    SetPartition._of(left).standardize(),
+                    SetPartition._of(right).standardize(),
                 )
                 out.append((key, coeff))
-    return TensorElement(out)
+    return TensorElement._combine(out)
 
 
 def counit(x):
@@ -317,7 +288,7 @@ def antipode_direct_terms(part):
 
 def antipode_direct(part):
     """Antipode of a basis partition by the full signed composition sum."""
-    return NCSymElement((p, sign) for sign, p in antipode_direct_terms(part))
+    return NCSymElement._combine((p, sign) for sign, p in antipode_direct_terms(part))
 
 
 def antipode_factored(part):
@@ -352,7 +323,7 @@ def antipode_factored(part):
                 # Coproduct terms with a nonempty left side are the first
                 # parts K, each paired with its standardized tail.
                 splits = coproduct(NCSymElement.from_partition(p))._terms.items()
-                memo[p] = NCSymElement(
+                memo[p] = NCSymElement._combine(
                     (head.concat(q), -coeff * c)
                     for (head, tail), coeff in splits
                     if head.weight
@@ -418,7 +389,7 @@ def primitive(part):
     if part.weight == 0:
         raise ValueError("primitive is undefined on the empty partition")
     _require_small(part)
-    return NCSymElement(
+    return NCSymElement._combine(
         (gamma.evaluate(part), 1 if gamma.length % 2 else -1)
         for gamma in anchored_compositions(part.length)
     )
@@ -432,7 +403,7 @@ def reduced_coproduct(x):
     for part, coeff in x.items():
         extra.append(((part, EMPTY_PARTITION), -coeff))
         extra.append(((EMPTY_PARTITION, part), -coeff))
-    return coproduct(x) + TensorElement(extra)
+    return coproduct(x) + TensorElement._combine(extra)
 
 
 def convolve(left_map, right_map, part):

@@ -7,6 +7,11 @@ ordered sequence of disjoint nonempty parts.  Both carry a compact shorthand
 strings of single digits, together with an extended comma form
 ("1,13.2,8.4") needed once ground elements exceed 9.
 
+Validation happens where data enters: the public constructors, ``parse``,
+``serialize`` and public-method arguments.  Internal results (shifts,
+standardizations, concatenations, selections, atoms, enumerations) are
+canonical by construction and built by each type's trusted ``_of``.
+
 All values are immutable after construction and safe to share between
 threads.  The enumeration functions return fresh iterators in a fixed order
 (lexicographic on the extended-form string), so repeated calls replay the
@@ -16,6 +21,7 @@ same stream.
 from __future__ import annotations
 
 import itertools
+import operator
 
 __all__ = [
     "NotationError",
@@ -31,6 +37,9 @@ __all__ = [
     "anchored_compositions",
     "refinements",
 ]
+
+
+_last = operator.itemgetter(-1)
 
 
 class NotationError(ValueError):
@@ -58,6 +67,18 @@ def _checked_groups(groups, kind, disjoint=True):
             seen.update(members)
         out.append(members)
     return tuple(out)
+
+
+def _trusted(slot):
+    """The private constructor of internal paths: a classmethod that stores
+    an already canonical tuple in ``slot`` without sorting or checking it."""
+
+    def _of(cls, groups):
+        self = object.__new__(cls)
+        setattr(self, slot, groups)
+        return self
+
+    return classmethod(_of)
 
 
 def _parse_groups(text, sep, kind):
@@ -118,6 +139,7 @@ class SetPartition:
     """
 
     __slots__ = ("blocks",)
+    _of = _trusted("blocks")
 
     def __init__(self, blocks=()):
         self.blocks = tuple(sorted(_checked_groups(blocks, "block"), key=lambda b: b[0]))
@@ -141,7 +163,7 @@ class SetPartition:
 
     @property
     def weight(self):
-        return sum(len(b) for b in self.blocks)
+        return sum(map(len, self.blocks))
 
     @property
     def length(self):
@@ -151,20 +173,23 @@ class SetPartition:
         return tuple(sorted(itertools.chain.from_iterable(self.blocks)))
 
     def is_standard(self):
-        """True when the ground set is exactly {1..weight}."""
-        g = self.ground()
-        return g == tuple(range(1, len(g) + 1))
+        """True when the ground set is exactly {1..weight}: the elements are
+        distinct positive ints, so exactly when the largest equals the count."""
+        return max(map(_last, self.blocks), default=0) == self.weight
 
     def shift(self, k):
         """Add ``k`` to every element, preserving the block structure."""
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"shift amount must be a nonnegative integer, got {k!r}")
-        return SetPartition(tuple(e + k for e in b) for b in self.blocks)
+        return SetPartition._of(tuple(tuple(e + k for e in b) for b in self.blocks))
 
     def standardize(self):
         """Relabel along the unique increasing bijection onto {1..weight}."""
-        rank = {e: i for i, e in enumerate(self.ground(), start=1)}
-        return SetPartition(tuple(rank[e] for e in b) for b in self.blocks)
+        ground = self.ground()
+        if not ground or ground[-1] == len(ground):
+            return self
+        rank = dict(zip(ground, itertools.count(1)))
+        return SetPartition._of(tuple(tuple(map(rank.__getitem__, b)) for b in self.blocks))
 
     def concat(self, other):
         """Disjoint concatenation: ``self`` followed by ``other`` shifted up.
@@ -174,7 +199,7 @@ class SetPartition:
         """
         if not self.is_standard() or not other.is_standard():
             raise ValueError("concat requires standard partitions")
-        return SetPartition(self.blocks + other.shift(self.weight).blocks)
+        return SetPartition._of(self.blocks + other.shift(self.weight).blocks)
 
     def sub_partition(self, indices):
         """Blocks selected by 1-based position in minima order, unchanged."""
@@ -182,7 +207,7 @@ class SetPartition:
         for i in picked:
             if not isinstance(i, int) or not 1 <= i <= len(self.blocks):
                 raise ValueError(f"block index {i!r} out of range 1..{len(self.blocks)}")
-        return SetPartition(self.blocks[i - 1] for i in picked)
+        return SetPartition._of(tuple(self.blocks[i - 1] for i in picked))
 
     def is_atomic(self):
         """True when no proper prefix {1..m} is a union of whole blocks.
@@ -223,7 +248,7 @@ class SetPartition:
             if block[-1] > top:
                 top = block[-1]
             if top - base == count:
-                out.append(SetPartition(tuple(e - base for e in b) for b in chunk))
+                out.append(SetPartition._of(tuple(tuple(e - base for e in b) for b in chunk)))
                 base = top
                 chunk = []
                 count = 0
@@ -256,6 +281,7 @@ class SetComposition:
     """
 
     __slots__ = ("parts",)
+    _of = _trusted("parts")
 
     def __init__(self, parts=()):
         self.parts = _checked_groups(parts, "part")
@@ -296,12 +322,8 @@ class SetComposition:
         missing = keep - set(self.ground())
         if missing:
             raise ValueError(f"element {min(missing)} not in the ground set")
-        kept = []
-        for part in self.parts:
-            inter = tuple(e for e in part if e in keep)
-            if inter:
-                kept.append(inter)
-        return SetComposition(kept)
+        inters = (tuple(e for e in part if e in keep) for part in self.parts)
+        return SetComposition._of(tuple(inter for inter in inters if inter))
 
     def subsequence(self, positions):
         """Parts selected by 1-based position, in order."""
@@ -309,7 +331,7 @@ class SetComposition:
         for i in picked:
             if not isinstance(i, int) or not 1 <= i <= len(self.parts):
                 raise ValueError(f"part index {i!r} out of range 1..{len(self.parts)}")
-        return SetComposition(self.parts[i - 1] for i in picked)
+        return SetComposition._of(tuple(self.parts[i - 1] for i in picked))
 
     def refines(self, coarser):
         """True when every part of ``coarser`` is the union of a contiguous
@@ -377,15 +399,15 @@ def _checked_size(n):
 def set_partitions(n):
     """All set partitions of {1..n}, ordered by their extended-form strings."""
     _checked_size(n)
-    state = [[]]
+    state = [()]
     for x in range(1, n + 1):
         grown = []
         for blocks in state:
             for i in range(len(blocks)):
-                grown.append(blocks[:i] + [blocks[i] + [x]] + blocks[i + 1 :])
-            grown.append(blocks + [[x]])
+                grown.append(blocks[:i] + (blocks[i] + (x,),) + blocks[i + 1 :])
+            grown.append(blocks + ((x,),))
         state = grown
-    return iter(sorted((SetPartition(b) for b in state), key=SetPartition.sort_key))
+    return iter(sorted(map(SetPartition._of, state), key=SetPartition.sort_key))
 
 
 def atomic_set_partitions(n):
@@ -402,7 +424,7 @@ def atomic_set_partitions(n):
             blocks = [[] for _ in range(top + 1)]
             for idx, lab in enumerate(labels):
                 blocks[lab].append(idx + 1)
-            cand = SetPartition(blocks)
+            cand = SetPartition._of(tuple(map(tuple, blocks)))
             if cand.is_atomic():
                 found.append(cand)
             return
@@ -431,7 +453,9 @@ def _raw_compositions(elems):
 def compositions_of(elements):
     """All set compositions of a finite set of positive integers."""
     elems = tuple(sorted(set(elements)))
-    comps = (SetComposition(parts) for parts in _raw_compositions(elems))
+    if elems:
+        _checked_groups((elems,), "part")
+    comps = map(SetComposition._of, _raw_compositions(elems))
     return iter(sorted(comps, key=SetComposition.sort_key))
 
 
@@ -453,7 +477,7 @@ def anchored_compositions(r):
             taken = set(extra)
             remaining = tuple(e for e in rest if e not in taken)
             for tail in _raw_compositions(remaining):
-                found.append(SetComposition(((1,) + extra,) + tail))
+                found.append(SetComposition._of(((1,) + extra,) + tail))
     return iter(sorted(found, key=SetComposition.sort_key))
 
 
@@ -464,5 +488,5 @@ def refinements(rho):
     per_part = [list(_raw_compositions(part)) for part in rho.parts]
     found = []
     for combo in itertools.product(*per_part):
-        found.append(SetComposition(tuple(itertools.chain.from_iterable(combo))))
+        found.append(SetComposition._of(tuple(itertools.chain.from_iterable(combo))))
     return iter(sorted(found, key=SetComposition.sort_key))

@@ -7,6 +7,10 @@ two disjoint words, optionally merging letters that face each other; the left
 quasi-shuffles are the interleavings whose first letter contains the first
 letter of the left operand.
 
+As in ``setparts``, ``Word(...)``, ``Word.parse``, ``serialize`` and public
+arguments are validated; words built inside (prefixes, suffixes,
+quasi-shuffles, pairing mates, restrictions) are trusted, made by ``Word._of``.
+
 The Lyndon helpers (``is_lyndon``, ``lyndon_split``, ``hall_tree``) work on
 any Python sequence of letters, with an optional ``key`` supplying the letter
 order; leaves of a Hall tree are the letters themselves, so letters must not
@@ -16,10 +20,12 @@ be 2-tuples.
 from __future__ import annotations
 
 from .setparts import (
+    NotationError,
     SetComposition,
     _checked_groups,
     _format_groups,
     _parse_groups,
+    _trusted,
     anchored_compositions,
 )
 
@@ -44,6 +50,7 @@ class Word:
     """Sequence of nonempty finite subsets of positive integers."""
 
     __slots__ = ("letters",)
+    _of = _trusted("letters")
 
     def __init__(self, letters=()):
         self.letters = _checked_groups(letters, "letter", disjoint=False)
@@ -55,8 +62,6 @@ class Word:
         try:
             return cls(groups)
         except ValueError as exc:
-            from .setparts import NotationError
-
             raise NotationError(str(exc)) from None
 
     @classmethod
@@ -85,13 +90,13 @@ class Word:
         """The first ``i`` letters."""
         if not 0 <= i <= len(self.letters):
             raise ValueError(f"prefix length {i} out of range")
-        return Word(self.letters[:i])
+        return Word._of(self.letters[:i])
 
     def suffix(self, i):
         """The letters after position ``i``."""
         if not 0 <= i <= len(self.letters):
             raise ValueError(f"suffix start {i} out of range")
-        return Word(self.letters[i:])
+        return Word._of(self.letters[i:])
 
     def __eq__(self, other):
         if not isinstance(other, Word):
@@ -121,7 +126,7 @@ def disjoint(u, v):
 
 def _build(first, tails, out):
     for tail in tails:
-        word = Word((first,) + tail.letters)
+        word = Word._of((first,) + tail.letters)
         assert word not in out, "quasi-shuffle produced a duplicate word"
         out.add(word)
 
@@ -186,7 +191,7 @@ def pairing(w, u, v):
     else:
         rest = tuple(sorted(set(letters[spot]).difference(head)))
         letters[spot : spot + 1] = [rest, tuple(sorted(head))]
-    return Word(letters)
+    return Word._of(tuple(letters))
 
 
 def word_restrict(w, keep):
@@ -195,7 +200,7 @@ def word_restrict(w, keep):
     Only defined for words whose letters are pairwise disjoint (those are the
     set compositions of their ground set); other words are rejected.
     """
-    return Word.from_parts(SetComposition(w.letters).restrict(keep))
+    return Word._of(SetComposition(w.letters).restrict(keep).parts)
 
 
 def restriction_tensor_sum(r, keep_left, keep_right):
@@ -220,8 +225,8 @@ def restriction_tensor_sum(r, keep_left, keep_right):
     for gamma in anchored_compositions(r):
         sign = -1 if gamma.length % 2 else 1
         pair = (
-            Word.from_parts(gamma.restrict(left)),
-            Word.from_parts(gamma.restrict(right)),
+            Word._of(gamma.restrict(left).parts),
+            Word._of(gamma.restrict(right).parts),
         )
         acc[pair] = acc.get(pair, 0) + sign
     return {pair: c for pair, c in acc.items() if c}

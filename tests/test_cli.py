@@ -108,6 +108,18 @@ class TestAntipodeSizes:
         assert (code, out) == (2, "")
         assert "atom of 11 blocks" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("antipode", "1,12.2.3.4.5.6.7.8.9.10.11"),
+            ("antipode", "1.2.3.4.5.6.7.8.9.10.11,", "--method", "direct"),
+        ],
+    )
+    def test_refusal_prints_no_warning(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_warning_follows_the_method(self, capsys):
         nine = "1.2.3.4.5.6.7.8.9"
         assert run_cli(capsys, "antipode", nine)[2] == ""

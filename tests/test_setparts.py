@@ -67,7 +67,7 @@ class TestParseFormat:
             SetPartition([(1, 2), (2, 3)])
 
     def test_empty_block(self):
-        with pytest.raises(ValueError, match="empty block"):
+        with pytest.raises(ValueError, match="^empty block not allowed$"):
             SetPartition([(1,), ()])
 
     def test_generic_parse_dispatches_on_separator(self):

@@ -37,7 +37,7 @@ class TestWordBasics:
         assert w.letters == ((1, 2), (2, 3))
 
     def test_empty_letter_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^empty letter not allowed$"):
             Word([(1,), ()])
 
     def test_prefix_suffix(self):
