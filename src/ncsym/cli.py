@@ -1,7 +1,9 @@
 """Command-line interface: shorthand notation in, text or JSON out.
 
 Exit codes: 0 on success, 1 when ``verify`` finds a failing check, 2 for
-unparseable or invalid input (the message names the offending token).
+unparseable or invalid input (the message names the offending token) and for
+input too large to compute (recursion limit or memory exhausted), each with
+one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -58,21 +60,16 @@ def _cmd_counit(args):
 def _cmd_antipode(args):
     part = SetPartition.parse(args.partition)
     x = NCSymElement.from_partition(part)
-    # Warn on the size that bounds the chosen method's cost, if the method runs.
-    if args.method == "factored":
-        size = max((atom.length for atom in part.atoms()), default=0)
-        subject = f"an atom of {size} blocks"
-        growth = "the per-atom recursion grows like 3^r for an atom of r blocks"
-    else:
-        size = part.length
-        subject = f"{size} blocks"
-        growth = (
-            "the composition sum grows like the ordered Bell numbers"
-            if args.method == "direct"
-            else "the coproduct recursion grows exponentially"
-        )
-    if size > WARN_PARTS and (args.method == "oracle" or size <= hopf.MAX_PARTS):
-        print(f"warning: {subject}; {growth} and will be slow", file=sys.stderr)
+    # The default route answers every atom it accepts (at most MAX_PARTS
+    # blocks) quickly.  The other two grow with the total block count, so they
+    # warn when they will run a large input (direct refuses over MAX_PARTS).
+    growth = {
+        "direct": "the composition sum grows like the ordered Bell numbers",
+        "oracle": "the coproduct recursion grows exponentially",
+    }.get(args.method)
+    size = part.length
+    if growth and size > WARN_PARTS and (args.method == "oracle" or size <= hopf.MAX_PARTS):
+        print(f"warning: {size} blocks; {growth} and will be slow", file=sys.stderr)
     _emit_element(hopf.antipode(x, args.method), args.fmt)
     return 0
 
@@ -312,7 +309,13 @@ def build_parser():
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("verify", parents=[common], help="run the invariant suites")
-    p.add_argument("--max-weight", type=int, default=4, dest="max_weight")
+    p.add_argument(
+        "--max-weight",
+        type=int,
+        default=4,
+        dest="max_weight",
+        help=f"largest weight swept (at most {verify.MAX_WEIGHT})",
+    )
     p.add_argument("--checks", default=None, help="comma-separated check names")
     p.add_argument("--seed", type=int, default=0, help="seed for the above-weight-5 samples")
     p.set_defaults(handler=_cmd_verify)
@@ -330,6 +333,12 @@ def main(argv=None):
         return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input too large: recursion limit exceeded", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: input too large: out of memory", file=sys.stderr)
         return 2
 
 

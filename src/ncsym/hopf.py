@@ -12,6 +12,16 @@ graded-connected recursion used as an independent oracle.  The primitive
 generators, their leading-term order, and the Hall bracket basis of the
 primitive Lie algebra live here too.
 
+Inside one atom the default route works on restricted growth strings (Knuth,
+TAOCP 4A, 7.2.1.5) held as ``bytes``: byte i is the 0-based index, in
+block-minima order, of the block holding i + 1, so 14.2.3 is
+``bytes((0, 1, 2, 0))``.  Ordering blocks by their minima is exactly the
+restricted-growth condition, so equal partitions have equal strings and
+nothing needs sorting.  Keeping the blocks of a label set and standardizing
+is one ``bytes.translate`` that ranks the kept labels and deletes the other
+positions; concatenation appends the second string with its labels shifted
+up by the first's block count.
+
 Everything is exact: coefficients are Python ints, and the kernel
 computations run on fraction-free integer elimination.
 
@@ -23,8 +33,10 @@ builds them without re-checking their canonical keys.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
+import operator
 
 from .linalg import integer_rank
 from .setparts import (
@@ -65,8 +77,9 @@ __all__ = [
 
 # Fubini(10) ~ 1.02e8 summands is the practical wall for the composition-sum
 # formulas, which cap the total block count here; the default antipode route
-# caps each atom's block count instead (3^10 = 59 049 head/tail pairs).
-# Larger inputs are rejected rather than left to run for hours.
+# caps each atom's block count instead (3^10 = 59 049 head/tail pairs), which
+# also keeps the labels of its byte strings below MAX_PARTS.  Larger inputs
+# are rejected rather than left to run for hours.
 MAX_PARTS = 10
 
 
@@ -88,7 +101,10 @@ def _summed(pairs):
     data = {}
     for key, coeff in pairs:
         data[key] = data.get(key, 0) + coeff
-    return {key: c for key, c in data.items() if c}
+    # Deleting the cancelled keys in place hashes no surviving key again.
+    for key in [key for key, c in data.items() if not c]:
+        del data[key]
+    return data
 
 
 class _Combination:
@@ -179,7 +195,7 @@ class NCSymElement(_Combination):
     __slots__ = ()
     _check_key = staticmethod(_check_basis_partition)
     _sort_key = staticmethod(SetPartition.sort_key)
-    _key_product = staticmethod(SetPartition.concat)
+    _key_product = staticmethod(SetPartition._concat)
 
     @classmethod
     def from_partition(cls, part):
@@ -214,7 +230,7 @@ class TensorElement(_Combination):
 
     @staticmethod
     def _key_product(a, b):
-        return a[0].concat(b[0]), a[1].concat(b[1])
+        return a[0]._concat(b[0]), a[1]._concat(b[1])
 
     @classmethod
     def pure(cls, left, right, coeff=1):
@@ -291,52 +307,126 @@ def antipode_direct(part):
     return NCSymElement._combine((p, sign) for sign, p in antipode_direct_terms(part))
 
 
+def _encode(part):
+    """Restricted growth string of a standard partition: byte i is the index,
+    in block-minima order, of the block holding i + 1."""
+    code = bytearray(part.weight)
+    for label, block in enumerate(part.blocks):
+        for e in block:
+            code[e - 1] = label
+    return bytes(code)
+
+
+def _decode(code):
+    """Standard partition of a restricted growth string."""
+    blocks = [[] for _ in range(max(code, default=-1) + 1)]
+    for i, label in enumerate(code, 1):
+        blocks[label].append(i)
+    return SetPartition._of(tuple(map(tuple, blocks)))
+
+
+# _SHIFT[k] adds k to every label byte, _UNSHIFT[k] subtracts it.  Kernel
+# labels stay below MAX_PARTS, so no sum wraps past 255.
+_SHIFT = [bytes(range(k, 256)) + bytes(range(k)) for k in range(MAX_PARTS + 1)]
+_UNSHIFT = [bytes(range(256 - k, 256)) + bytes(range(256 - k)) for k in range(MAX_PARTS)]
+
+
+def _code_atoms(code, labels):
+    """Atoms of a restricted growth string with ``labels`` blocks, each
+    relabelled from 0: a cut falls before the first use of a label when no
+    earlier label is used again after it."""
+    pieces = []
+    start = base = 0
+    reach = code.rfind(0)
+    for label in range(1, labels):
+        first = code.find(label)
+        if first > reach:
+            pieces.append(code[start:first].translate(_UNSHIFT[base]))
+            start, base = first, label
+        reach = max(reach, code.rfind(label))
+    pieces.append(code[start:].translate(_UNSHIFT[base]))
+    return pieces
+
+
+def _split_tables(labels):
+    """Per label mask K below 2^labels: the table that ranks K's labels and
+    the bytes of the labels outside K, so that ``code.translate(*tables[K])``
+    is std(A|K) for any code with at most ``labels`` labels."""
+    ranks, drops = [b""], [b""]
+    for label in range(labels):
+        # A label's rank under mask K is the number of K's labels below it.
+        ranks = [r + bytes((label - len(d),)) for r, d in zip(ranks, drops)] * 2
+        drops = [d + bytes((label,)) for d in drops] + drops
+    pad = bytes(256 - labels)
+    return [(r + pad, d) for r, d in zip(ranks, drops)]
+
+
 def antipode_factored(part):
     """Antipode by atoms: the default route.
 
     S is an antimorphism over the atomic splitting, S(A) = S(A_t)...S(A_1).
     An atom's antipode is its signed composition sum, taken by recursion on
     the first part K: S(A) = -sum over nonempty K of std(A|K) * S(std(A|rest)),
-    with the splits read off the coproduct (equal ones already combined) and
-    each tail's antipode again by atoms.  Every partition met is a standardized
-    sub-partition of the input, memoized for this call only, so an atom of r
-    blocks costs at most 3^r head/tail pairs and a many-atom input the sum of
-    its atoms' costs.  Inputs with an atom of more than ``MAX_PARTS`` blocks
-    are refused before any enumeration; nonempty input required (the
+    with equal (head, tail) splits combined and each tail's antipode again by
+    atoms.  Every partition met is a standardized sub-partition of one input
+    atom, memoized for this call only, so an atom of r blocks costs at most
+    3^r head/tail pairs and a many-atom input the sum of its atoms' costs.
+
+    The per-atom recursion runs on restricted growth strings held as
+    ``bytes`` (see ``_encode``), which are canonical by construction: a
+    head or tail is one ``bytes.translate`` that ranks the kept labels and
+    deletes the other positions, a product is ``head + q`` with q's labels
+    shifted up, and no partition is sorted or checked inside.  Labels stay
+    below ``MAX_PARTS`` whatever the weight, because inputs with an atom of
+    more than ``MAX_PARTS`` blocks are refused before any work; each atom's
+    result is decoded to partitions once.  Nonempty input required (the
     element-level wrapper covers the unit).
     """
     _require_standard(part, "antipode")
     if part.weight == 0:
         raise ValueError("use the element-level antipode for the empty partition")
-    widest = max(atom.length for atom in part.atoms())
+    atoms = part.atoms()
+    widest = max(atom.length for atom in atoms)
     if widest > MAX_PARTS:
         raise ValueError(
             f"partition has an atom of {widest} blocks; "
             f"the factored antipode supports atoms of at most {MAX_PARTS}"
         )
-    memo = {}
+    memo = {b"": {b"": 1}}
+    tables = _split_tables(widest)
 
-    def value(p):
-        if p not in memo:
-            atoms = p.atoms()
-            if len(atoms) == 1:
-                # Coproduct terms with a nonempty left side are the first
-                # parts K, each paired with its standardized tail.
-                splits = coproduct(NCSymElement.from_partition(p))._terms.items()
-                memo[p] = NCSymElement._combine(
-                    (head.concat(q), -coeff * c)
-                    for (head, tail), coeff in splits
-                    if head.weight
-                    for q, c in value(tail)._terms.items()
-                )
-            else:
-                total = NCSymElement.unit()
-                for atom in atoms:
-                    total = value(atom) * total
-                memo[p] = total
-        return memo[p]
+    def value(code):
+        got = memo.get(code)
+        if got is not None:
+            return got
+        labels = max(code) + 1
+        pieces = _code_atoms(code, labels)
+        if len(pieces) == 1:
+            subs = [code.translate(*tables[mask]) for mask in range(1 << labels)]
+            # (std(A|K), std(A|rest)) for every nonempty K: the mask of rest
+            # is the all-labels mask minus K, which runs down as K runs up.
+            splits = collections.Counter(zip(subs[1:], subs[-2::-1]))
+            got = _summed(
+                (head + q.translate(_SHIFT[max(head) + 1]), -coeff * c)
+                for (head, tail), coeff in splits.items()
+                for q, c in value(tail).items()
+            )
+        else:
+            got = {b"": 1}
+            for piece in pieces:
+                got = {
+                    x + y.translate(_SHIFT[max(x) + 1]): cx * cy
+                    for x, cx in value(piece).items()
+                    for y, cy in got.items()
+                }
+        memo[code] = got
+        return got
 
-    return value(part)
+    factors = (
+        NCSymElement._combine((_decode(q), c) for q, c in value(_encode(atom)).items())
+        for atom in reversed(atoms)
+    )
+    return functools.reduce(operator.mul, factors)
 
 
 @functools.cache
@@ -372,11 +462,11 @@ def antipode(x, method="factored"):
         on_partition = _ANTIPODE_METHODS[method]
     except KeyError:
         raise ValueError(f"unknown antipode method {method!r}") from None
-    total = NCSymElement.zero()
-    for part, coeff in x.items():
-        piece = NCSymElement.unit() if part.weight == 0 else on_partition(part)
-        total = total + coeff * piece
-    return total
+    return NCSymElement._combine(
+        (q, coeff * c)
+        for part, coeff in x._terms.items()
+        for q, c in (on_partition(part) if part.weight else NCSymElement.unit())._terms.items()
+    )
 
 
 def primitive(part):

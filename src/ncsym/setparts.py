@@ -199,7 +199,12 @@ class SetPartition:
         """
         if not self.is_standard() or not other.is_standard():
             raise ValueError("concat requires standard partitions")
-        return SetPartition._of(self.blocks + other.shift(self.weight).blocks)
+        return self._concat(other)
+
+    def _concat(self, other):
+        """Trusted ``concat``: both operands already standard, not checked."""
+        w = self.weight
+        return SetPartition._of(self.blocks + tuple([tuple([e + w for e in b]) for b in other.blocks]))
 
     def sub_partition(self, indices):
         """Blocks selected by 1-based position in minima order, unchanged."""
@@ -355,7 +360,7 @@ class SetComposition:
         """Apply to a set partition: concat of standardized block selections."""
         out = EMPTY_PARTITION
         for part in self.parts:
-            out = out.concat(partition.sub_partition(part).standardize())
+            out = out._concat(partition.sub_partition(part).standardize())
         return out
 
     __call__ = evaluate

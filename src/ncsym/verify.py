@@ -28,6 +28,7 @@ from .words import Word
 __all__ = [
     "CheckResult",
     "CHECK_NAMES",
+    "MAX_WEIGHT",
     "run_checks",
     "bell_numbers",
     "fubini_numbers",
@@ -36,6 +37,11 @@ __all__ = [
 ]
 
 EXHAUSTIVE_CAP = 5
+# Largest accepted max_weight.  At 7 every seed's full run takes seconds (the
+# worst sample, the 7-block partition, needs 47 293 compositions in
+# antipode-methods); at 8 a sampled 8-block partition needs 545 835, over a
+# minute, and every sampled weight enumerates all Bell(n) partitions per check.
+MAX_WEIGHT = 7
 SAMPLE_PARTITIONS = 12
 SAMPLE_PAIRS = 20
 
@@ -464,6 +470,8 @@ def run_checks(max_weight=4, names=None, seed=0):
     """Run the named checks (all by default) and return their results."""
     if not isinstance(max_weight, int) or max_weight < 0:
         raise ValueError(f"max weight must be a nonnegative integer, got {max_weight!r}")
+    if max_weight > MAX_WEIGHT:
+        raise ValueError(f"max weight must be at most {MAX_WEIGHT}, got {max_weight}")
     table = dict(_CHECKS)
     if names is None:
         selected = CHECK_NAMES

@@ -120,6 +120,12 @@ class TestAntipodeSizes:
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    def test_ten_block_atom_runs_without_warning(self, capsys):
+        chain = "1,3.2,5.4,7.6,9.8,11.10,13.12,15.14,17.16,19.18,20"
+        code, out, err = run_cli(capsys, "antipode", chain)
+        assert (code, err) == (0, "")
+        assert out.count("(") == 512
+
     def test_warning_follows_the_method(self, capsys):
         nine = "1.2.3.4.5.6.7.8.9"
         assert run_cli(capsys, "antipode", nine)[2] == ""
@@ -160,6 +166,28 @@ class TestErrors:
         code, _, err = run_cli(capsys, "hall", "ba")
         assert code == 2
         assert "Lyndon" in err
+
+    def test_recursion_limit_is_an_input_error(self, capsys):
+        long_word = "|".join(map(str, range(1, 1500))) + ","
+        code, out, err = run_cli(capsys, "qshuffle", long_word, "1500,")
+        assert (code, out) == (2, "")
+        assert err == "error: input too large: recursion limit exceeded\n"
+
+    def test_out_of_memory_is_an_input_error(self, capsys, monkeypatch):
+        def exhausted(u, v):
+            raise MemoryError
+
+        monkeypatch.setattr(words, "quasi_shuffle", exhausted)
+        code, out, err = run_cli(capsys, "qshuffle", "1", "2")
+        assert (code, out, err) == (2, "", "error: input too large: out of memory\n")
+
+    @pytest.mark.parametrize("weight", ["-1", str(verify.MAX_WEIGHT + 1), "99"])
+    def test_verify_weight_out_of_range(self, capsys, weight):
+        code, out, err = run_cli(capsys, "verify", "--max-weight", weight)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: max weight must be")
+        with pytest.raises(ValueError, match="max weight must be"):
+            verify.run_checks(int(weight), ["cardinalities"])
 
     def test_verify_failure_exits_one(self, capsys, monkeypatch):
         failing = verify.CheckResult("stub", cases=1, failures=["boom"])

@@ -12,6 +12,7 @@ from ncsym import (
     antipode_factored,
     antipode_oracle,
     atom_key,
+    atomic_set_partitions,
     convolve,
     coproduct,
     counit,
@@ -27,6 +28,7 @@ from ncsym import (
     reduced_coproduct,
     set_partitions,
 )
+from ncsym.hopf import _decode, _encode
 
 P = SetPartition.parse
 E = NCSymElement.from_partition
@@ -144,6 +146,33 @@ class TestAntipode:
             assert antipode_factored(part) == antipode_direct(part)
         for part in set_partitions(6):
             assert antipode_factored(part) == antipode_oracle(part)
+
+    def test_growth_string_round_trip(self):
+        assert _encode(P("14.2.3")) == bytes((0, 1, 2, 0))
+        for n in range(7):
+            for part in set_partitions(n):
+                code = _encode(part)
+                assert len(code) == n and _decode(code) == part
+
+    def test_default_route_on_atoms(self):
+        for n in range(1, 7):
+            for atom in atomic_set_partitions(n):
+                assert antipode_factored(atom) == antipode_direct(atom)
+        for atom in atomic_set_partitions(7):
+            assert antipode_factored(atom) == antipode_oracle(atom)
+
+    def test_long_growth_string_with_few_labels(self):
+        odd, even = tuple(range(1, 300, 2)), tuple(range(2, 301, 2))
+        atom = SetPartition([odd, even])
+        assert atom.is_atomic() and len(_encode(atom)) == 300
+        assert antipode_factored(atom) == antipode_oracle(atom)
+
+    def test_ten_block_crossing_chain(self):
+        chain = P("1,3.2,5.4,7.6,9.8,11.10,13.12,15.14,17.16,19.18,20")
+        assert chain.is_atomic() and chain.length == MAX_PARTS
+        s = antipode_factored(chain)
+        assert len(s.items()) == 512
+        assert s == antipode_oracle(chain)
 
     def test_many_atoms_past_the_block_cap(self):
         singletons = P("1.2.3.4.5.6.7.8.9.10.11,")
