@@ -14,8 +14,8 @@ import sys
 from datetime import datetime
 
 from . import hopf, serialize, setparts, verify, words
-from .hopf import NCSymElement
-from .setparts import SetComposition, SetPartition
+from .hopf import NCSymElement, TensorElement
+from .setparts import SetComposition, SetPartition, _label
 from .words import Word
 
 __all__ = ["main", "build_parser"]
@@ -23,31 +23,36 @@ __all__ = ["main", "build_parser"]
 WARN_PARTS = 8
 
 
-def _label(obj):
-    return obj.format() or chr(0x2205)
-
-
-def _emit_element(element, fmt):
-    if fmt == "json":
-        print(json.dumps(serialize.element_to_obj(element)))
+def _emit(value, fmt):
+    """Print an element or a tensor in the chosen encoding."""
+    if fmt != "json":
+        print(value)
+    elif isinstance(value, TensorElement):
+        print(json.dumps(serialize.tensor_to_obj(value)))
     else:
-        print(hopf.format_element(element))
+        print(json.dumps(serialize.element_to_obj(value)))
+
+
+def _emit_all(values, encode, fmt):
+    """Print partitions, compositions or words one per line, or as one JSON
+    list of ``encode``'s objects."""
+    if fmt == "json":
+        print(json.dumps([encode(v) for v in values]))
+    else:
+        for v in values:
+            print(_label(v))
 
 
 def _cmd_product(args):
     left = NCSymElement.from_partition(SetPartition.parse(args.left))
     right = NCSymElement.from_partition(SetPartition.parse(args.right))
-    _emit_element(left * right, args.fmt)
+    _emit(left * right, args.fmt)
     return 0
 
 
 def _cmd_coproduct(args):
     part = SetPartition.parse(args.partition)
-    delta = hopf.coproduct(NCSymElement.from_partition(part))
-    if args.fmt == "json":
-        print(json.dumps(serialize.tensor_to_obj(delta)))
-    else:
-        print(hopf.format_tensor(delta))
+    _emit(hopf.coproduct(NCSymElement.from_partition(part)), args.fmt)
     return 0
 
 
@@ -70,13 +75,13 @@ def _cmd_antipode(args):
     size = part.length
     if growth and size > WARN_PARTS and (args.method == "oracle" or size <= hopf.MAX_PARTS):
         print(f"warning: {size} blocks; {growth} and will be slow", file=sys.stderr)
-    _emit_element(hopf.antipode(x, args.method), args.fmt)
+    _emit(hopf.antipode(x, args.method), args.fmt)
     return 0
 
 
 def _cmd_primitive(args):
     part = SetPartition.parse(args.partition)
-    _emit_element(hopf.primitive(part), args.fmt)
+    _emit(hopf.primitive(part), args.fmt)
     return 0
 
 
@@ -111,12 +116,7 @@ def _cmd_qshuffle(args):
     u = Word.parse(args.left)
     v = Word.parse(args.right)
     shuffled = words.left_quasi_shuffle(u, v) if args.left_only else words.quasi_shuffle(u, v)
-    ordered = sorted(shuffled, key=Word.sort_key)
-    if args.fmt == "json":
-        print(json.dumps([serialize.word_to_obj(w) for w in ordered]))
-    else:
-        for w in ordered:
-            print(_label(w))
+    _emit_all(sorted(shuffled, key=Word.sort_key), serialize.word_to_obj, args.fmt)
     return 0
 
 
@@ -168,16 +168,9 @@ def _cmd_enumerate(args):
         else:
             print(total)
         return 0
-    if args.fmt == "json":
-        encode = (
-            serialize.partition_to_obj
-            if args.kind in ("partitions", "atomic")
-            else serialize.composition_to_obj
-        )
-        print(json.dumps([encode(obj) for obj in stream]))
-    else:
-        for obj in stream:
-            print(_label(obj))
+    partitions = args.kind in ("partitions", "atomic")
+    encode = serialize.partition_to_obj if partitions else serialize.composition_to_obj
+    _emit_all(stream, encode, args.fmt)
     return 0
 
 

@@ -25,6 +25,10 @@ up by the first's block count.
 Everything is exact: coefficients are Python ints, and the kernel
 computations run on fraction-free integer elimination.
 
+``NCSymElement`` and ``TensorElement`` share one private base,
+``_Combination`` (arithmetic, equality, hash, text form); they stay two types
+because their keys differ in check, order and product.
+
 Elements are validated where they enter: the public constructors, which
 ``serialize`` decodes through, and the arguments of public functions.  Sums,
 products, coproducts and antipodes are trusted: ``_Combination._combine``
@@ -42,6 +46,7 @@ from .linalg import integer_rank
 from .setparts import (
     EMPTY_PARTITION,
     SetPartition,
+    _label,
     anchored_compositions,
     atomic_set_partitions,
     set_compositions,
@@ -188,6 +193,13 @@ class _Combination:
             return self * other
         return NotImplemented
 
+    def __str__(self):
+        # Through the module-level names, which a tracer may rebind.
+        return (format_tensor if isinstance(self, TensorElement) else format_element)(self)
+
+    def __repr__(self):
+        return f"{type(self).__name__}<{self}>"
+
 
 class NCSymElement(_Combination):
     """Integer linear combination of standard set partitions."""
@@ -211,12 +223,6 @@ class NCSymElement(_Combination):
     def is_homogeneous(self):
         return len(self.weights()) <= 1
 
-    def __str__(self):
-        return format_element(self)
-
-    def __repr__(self):
-        return f"NCSymElement<{format_element(self)}>"
-
 
 class TensorElement(_Combination):
     """Integer combination of ordered pairs of standard set partitions."""
@@ -239,12 +245,6 @@ class TensorElement(_Combination):
     def twist(self):
         """Swap the tensor factors."""
         return self._combine(((q, p), c) for (p, q), c in self._terms.items())
-
-    def __str__(self):
-        return format_tensor(self)
-
-    def __repr__(self):
-        return f"TensorElement<{format_tensor(self)}>"
 
 
 def product(x, y):
@@ -441,12 +441,13 @@ def antipode_oracle(part):
     _require_standard(part, "antipode")
     if part.weight == 0:
         return NCSymElement.unit()
-    total = -NCSymElement.from_partition(part)
-    for (left, right), coeff in coproduct(NCSymElement.from_partition(part)).items():
-        if left.weight == 0 or right.weight == 0:
-            continue
-        total = total - coeff * (antipode_oracle(left) * NCSymElement.from_partition(right))
-    return total
+    pairs = [(part, -1)]
+    for (left, right), coeff in coproduct(NCSymElement.from_partition(part))._terms.items():
+        if left.weight and right.weight:
+            pairs += [
+                (q._concat(right), -coeff * c) for q, c in antipode_oracle(left)._terms.items()
+            ]
+    return NCSymElement._combine(pairs)
 
 
 _ANTIPODE_METHODS = {
@@ -619,44 +620,32 @@ def hall_span_check(n):
     return integer_rank(matrix) == len(elements) == primitive_space_dimension(n)
 
 
-def _label(part):
-    return part.format() or chr(0x2205)
+def _signed(x, order, body):
+    """Sign-joined text of the terms of ``x`` sorted by ``order`` on keys:
+    the first sign bare, the others spaced, a magnitude of 1 left out."""
+    pieces = []
+    for key, coeff in sorted(x._terms.items(), key=lambda kc: order(kc[0])):
+        magnitude = abs(coeff)
+        text = body(key) if magnitude == 1 else f"{magnitude}{body(key)}"
+        if pieces:
+            pieces.append(("- " if coeff < 0 else "+ ") + text)
+        else:
+            pieces.append(("-" if coeff < 0 else "") + text)
+    return " ".join(pieces) or "0"
 
 
 def format_element(x):
     """Text form: terms in atom order, sign-joined; a lone +1 term prints as
     the bare partition."""
-    if x.is_zero():
-        return "0"
-    ordered = sorted(x.items(), key=lambda pc: partition_key(pc[0]))
-    if len(ordered) == 1 and ordered[0][1] == 1:
-        return _label(ordered[0][0])
-    pieces = []
-    for part, coeff in ordered:
-        magnitude = abs(coeff)
-        body = f"({_label(part)})" if magnitude == 1 else f"{magnitude}({_label(part)})"
-        if not pieces:
-            pieces.append(("-" if coeff < 0 else "") + body)
-        else:
-            pieces.append(("- " if coeff < 0 else "+ ") + body)
-    return " ".join(pieces)
+    if list(x._terms.values()) == [1]:
+        return _label(next(iter(x._terms)))
+    return _signed(x, partition_key, lambda part: f"({_label(part)})")
 
 
 def format_tensor(t):
     """Text form of a tensor combination, factors joined by the tensor sign."""
-    if t.is_zero():
-        return "0"
-    ordered = sorted(
-        t.items(), key=lambda pc: (partition_key(pc[0][0]), partition_key(pc[0][1]))
+    return _signed(
+        t,
+        lambda pair: (partition_key(pair[0]), partition_key(pair[1])),
+        lambda pair: f"({_label(pair[0])})\u2297({_label(pair[1])})",
     )
-    pieces = []
-    for (p, q), coeff in ordered:
-        magnitude = abs(coeff)
-        body = f"({_label(p)}){chr(0x2297)}({_label(q)})"
-        if magnitude != 1:
-            body = f"{magnitude}{body}"
-        if not pieces:
-            pieces.append(("-" if coeff < 0 else "") + body)
-        else:
-            pieces.append(("- " if coeff < 0 else "+ ") + body)
-    return " ".join(pieces)

@@ -58,38 +58,34 @@ def _coeff_from(text):
     return int(text, 10)
 
 
+def _terms_to_obj(x, key_fields):
+    """Terms of ``x`` in canonical key order, each its coefficient string
+    followed by the fields of its key."""
+    return {"terms": [{"coeff": str(coeff), **key_fields(key)} for key, coeff in x.items()]}
+
+
+def _terms_from_obj(cls, obj, key_of):
+    """Validated ``cls`` combination of the terms of ``obj``."""
+    return cls((key_of(term), _coeff_from(term["coeff"])) for term in obj["terms"])
+
+
 def element_to_obj(x):
-    terms = []
-    for part, coeff in sorted(x.items(), key=lambda pc: pc[0].sort_key()):
-        terms.append({"coeff": str(coeff), "partition": partition_to_obj(part)})
-    return {"terms": terms}
+    return _terms_to_obj(x, lambda part: {"partition": partition_to_obj(part)})
 
 
 def element_from_obj(obj):
-    return NCSymElement(
-        (partition_from_obj(term["partition"]), _coeff_from(term["coeff"]))
-        for term in obj["terms"]
-    )
+    return _terms_from_obj(NCSymElement, obj, lambda term: partition_from_obj(term["partition"]))
 
 
 def tensor_to_obj(t):
-    terms = []
-    for (left, right), coeff in t.items():
-        terms.append(
-            {
-                "coeff": str(coeff),
-                "left": partition_to_obj(left),
-                "right": partition_to_obj(right),
-            }
-        )
-    return {"terms": terms}
+    return _terms_to_obj(
+        t, lambda pair: {"left": partition_to_obj(pair[0]), "right": partition_to_obj(pair[1])}
+    )
 
 
 def tensor_from_obj(obj):
-    return TensorElement(
-        (
-            (partition_from_obj(term["left"]), partition_from_obj(term["right"])),
-            _coeff_from(term["coeff"]),
-        )
-        for term in obj["terms"]
+    return _terms_from_obj(
+        TensorElement,
+        obj,
+        lambda term: (partition_from_obj(term["left"]), partition_from_obj(term["right"])),
     )

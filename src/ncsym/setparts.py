@@ -10,7 +10,8 @@ strings of single digits, together with an extended comma form
 Validation happens where data enters: the public constructors, ``parse``,
 ``serialize`` and public-method arguments.  Internal results (shifts,
 standardizations, concatenations, selections, atoms, enumerations) are
-canonical by construction and built by each type's trusted ``_of``.
+canonical by construction and built by the one trusted ``_of`` of
+``_Groups``, the private base both types share with ``words.Word``.
 
 All values are immutable after construction and safe to share between
 threads.  The enumeration functions return fresh iterators in a fixed order
@@ -69,18 +70,6 @@ def _checked_groups(groups, kind, disjoint=True):
     return tuple(out)
 
 
-def _trusted(slot):
-    """The private constructor of internal paths: a classmethod that stores
-    an already canonical tuple in ``slot`` without sorting or checking it."""
-
-    def _of(cls, groups):
-        self = object.__new__(cls)
-        setattr(self, slot, groups)
-        return self
-
-    return classmethod(_of)
-
-
 def _parse_groups(text, sep, kind):
     """Split shorthand text into tuples of ints (no disjointness checks).
 
@@ -130,24 +119,34 @@ def _format_groups(groups, sep, mode):
     return text
 
 
-class SetPartition:
-    """Disjoint nonempty blocks of positive integers, ordered by block minima.
+def _label(value):
+    """Shorthand text of a value, or the empty-set sign for an empty one."""
+    return value.format() or "∅"
 
-    The ground set need not be an initial segment {1..n}; ``standardize``
-    relabels onto one.  The empty partition (no blocks) is valid and acts as
-    the unit for ``concat``.
-    """
 
-    __slots__ = ("blocks",)
-    _of = _trusted("blocks")
+class _Groups:
+    """Shared body of ``SetPartition``, ``SetComposition`` and ``words.Word``:
+    a tuple of sorted int tuples.  A subclass names its groups (``_kind``, in
+    messages), its separator and whether groups are disjoint, and aliases
+    ``groups`` publicly; values of two subclasses are never equal."""
 
-    def __init__(self, blocks=()):
-        self.blocks = tuple(sorted(_checked_groups(blocks, "block"), key=lambda b: b[0]))
+    __slots__ = ("groups",)
+    _disjoint = True
+
+    def __init__(self, groups=()):
+        self.groups = _checked_groups(groups, self._kind, self._disjoint)
 
     @classmethod
-    def parse(cls, text):
-        """Parse dotted shorthand, e.g. ``"13.28.4"`` or ``"1,13.2,8.4"``."""
-        groups = _parse_groups(text, ".", "block")
+    def _of(cls, groups):
+        """Trusted constructor of internal paths: stores an already canonical
+        tuple without sorting or checking it."""
+        self = object.__new__(cls)
+        self.groups = groups
+        return self
+
+    @classmethod
+    def _parse(cls, text):
+        groups = _parse_groups(text, cls._sep, cls._kind)
         try:
             return cls(groups)
         except ValueError as exc:
@@ -155,22 +154,69 @@ class SetPartition:
 
     def format(self, mode=None):
         """Shorthand text; ``mode`` forces ``"compact"`` or ``"extended"``."""
-        return _format_groups(self.blocks, ".", mode)
+        return _format_groups(self.groups, self._sep, mode)
 
     def sort_key(self):
         """Canonical ordering key: the extended-form string."""
-        return _format_groups(self.blocks, ".", "extended")
+        return _format_groups(self.groups, self._sep, "extended")
 
     @property
     def weight(self):
-        return sum(map(len, self.blocks))
+        return sum(map(len, self.groups))
 
     @property
     def length(self):
-        return len(self.blocks)
+        return len(self.groups)
 
     def ground(self):
-        return tuple(sorted(itertools.chain.from_iterable(self.blocks)))
+        return tuple(sorted(itertools.chain.from_iterable(self.groups)))
+
+    def _select(self, indices):
+        """Groups selected by 1-based position, unchanged and in their order
+        (``sub_partition``, ``subsequence``)."""
+        picked = sorted(set(indices))
+        for i in picked:
+            if not isinstance(i, int) or not 1 <= i <= len(self.groups):
+                raise ValueError(f"{self._kind} index {i!r} out of range 1..{len(self.groups)}")
+        return self._of(tuple(self.groups[i - 1] for i in picked))
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.groups == other.groups
+
+    def __hash__(self):
+        return hash(self.groups)
+
+    def __iter__(self):
+        return iter(self.groups)
+
+    def __str__(self):
+        return self.format()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({_label(self)!r})"
+
+
+class SetPartition(_Groups):
+    """Disjoint nonempty blocks of positive integers, ordered by block minima.
+
+    The ground set need not be an initial segment {1..n}; ``standardize``
+    relabels onto one.  The empty partition (no blocks) is valid and acts as
+    the unit for ``concat``.
+    """
+
+    __slots__ = ()
+    _kind, _sep = "block", "."
+    blocks = _Groups.groups
+
+    def __init__(self, blocks=()):
+        self.groups = tuple(sorted(_checked_groups(blocks, "block"), key=lambda b: b[0]))
+
+    @classmethod
+    def parse(cls, text):
+        """Parse dotted shorthand, e.g. ``"13.28.4"`` or ``"1,13.2,8.4"``."""
+        return cls._parse(text)
 
     def is_standard(self):
         """True when the ground set is exactly {1..weight}: the elements are
@@ -206,13 +252,7 @@ class SetPartition:
         w = self.weight
         return SetPartition._of(self.blocks + tuple([tuple([e + w for e in b]) for b in other.blocks]))
 
-    def sub_partition(self, indices):
-        """Blocks selected by 1-based position in minima order, unchanged."""
-        picked = sorted(set(indices))
-        for i in picked:
-            if not isinstance(i, int) or not 1 <= i <= len(self.blocks):
-                raise ValueError(f"block index {i!r} out of range 1..{len(self.blocks)}")
-        return SetPartition._of(tuple(self.blocks[i - 1] for i in picked))
+    sub_partition = _Groups._select
 
     def is_atomic(self):
         """True when no proper prefix {1..m} is a union of whole blocks.
@@ -259,25 +299,8 @@ class SetPartition:
                 count = 0
         return tuple(out)
 
-    def __eq__(self, other):
-        if not isinstance(other, SetPartition):
-            return NotImplemented
-        return self.blocks == other.blocks
 
-    def __hash__(self):
-        return hash(self.blocks)
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __str__(self):
-        return self.format()
-
-    def __repr__(self):
-        return f"SetPartition({self.format() or chr(0x2205)!r})"
-
-
-class SetComposition:
+class SetComposition(_Groups):
     """Ordered sequence of disjoint nonempty parts of positive integers.
 
     A composition of K acts on set partitions with at least max(K) blocks:
@@ -285,37 +308,14 @@ class SetComposition:
     of A indexed by the parts of gamma, in order.
     """
 
-    __slots__ = ("parts",)
-    _of = _trusted("parts")
-
-    def __init__(self, parts=()):
-        self.parts = _checked_groups(parts, "part")
+    __slots__ = ()
+    _kind, _sep = "part", "|"
+    parts = _Groups.groups
 
     @classmethod
     def parse(cls, text):
         """Parse piped shorthand, e.g. ``"38|12|4"``."""
-        groups = _parse_groups(text, "|", "part")
-        try:
-            return cls(groups)
-        except ValueError as exc:
-            raise NotationError(str(exc)) from None
-
-    def format(self, mode=None):
-        return _format_groups(self.parts, "|", mode)
-
-    def sort_key(self):
-        return _format_groups(self.parts, "|", "extended")
-
-    @property
-    def weight(self):
-        return sum(len(p) for p in self.parts)
-
-    @property
-    def length(self):
-        return len(self.parts)
-
-    def ground(self):
-        return tuple(sorted(itertools.chain.from_iterable(self.parts)))
+        return cls._parse(text)
 
     def restrict(self, keep):
         """Induced composition on a subset of the ground set.
@@ -330,13 +330,7 @@ class SetComposition:
         inters = (tuple(e for e in part if e in keep) for part in self.parts)
         return SetComposition._of(tuple(inter for inter in inters if inter))
 
-    def subsequence(self, positions):
-        """Parts selected by 1-based position, in order."""
-        picked = sorted(set(positions))
-        for i in picked:
-            if not isinstance(i, int) or not 1 <= i <= len(self.parts):
-                raise ValueError(f"part index {i!r} out of range 1..{len(self.parts)}")
-        return SetComposition._of(tuple(self.parts[i - 1] for i in picked))
+    subsequence = _Groups._select
 
     def refines(self, coarser):
         """True when every part of ``coarser`` is the union of a contiguous
@@ -364,23 +358,6 @@ class SetComposition:
         return out
 
     __call__ = evaluate
-
-    def __eq__(self, other):
-        if not isinstance(other, SetComposition):
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self):
-        return hash((SetComposition, self.parts))
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __str__(self):
-        return self.format()
-
-    def __repr__(self):
-        return f"SetComposition({self.format() or chr(0x2205)!r})"
 
 
 EMPTY_PARTITION = SetPartition()

@@ -7,9 +7,10 @@ two disjoint words, optionally merging letters that face each other; the left
 quasi-shuffles are the interleavings whose first letter contains the first
 letter of the left operand.
 
-As in ``setparts``, ``Word(...)``, ``Word.parse``, ``serialize`` and public
-arguments are validated; words built inside (prefixes, suffixes,
-quasi-shuffles, pairing mates, restrictions) are trusted, made by ``Word._of``.
+``Word`` shares the private base ``setparts._Groups``.  As there,
+``Word(...)``, ``Word.parse``, ``serialize`` and public arguments are
+validated; words built inside (prefixes, suffixes, quasi-shuffles, pairing
+mates, restrictions) are trusted, made by the shared ``_of``.
 
 The Lyndon helpers (``is_lyndon``, ``lyndon_split``, ``hall_tree``) work on
 any Python sequence of letters, with an optional ``key`` supplying the letter
@@ -19,15 +20,7 @@ be 2-tuples.
 
 from __future__ import annotations
 
-from .setparts import (
-    NotationError,
-    SetComposition,
-    _checked_groups,
-    _format_groups,
-    _parse_groups,
-    _trusted,
-    anchored_compositions,
-)
+from .setparts import SetComposition, _Groups, anchored_compositions
 
 __all__ = [
     "Word",
@@ -46,45 +39,26 @@ __all__ = [
 ]
 
 
-class Word:
+class Word(_Groups):
     """Sequence of nonempty finite subsets of positive integers."""
 
-    __slots__ = ("letters",)
-    _of = _trusted("letters")
-
-    def __init__(self, letters=()):
-        self.letters = _checked_groups(letters, "letter", disjoint=False)
+    __slots__ = ()
+    _kind, _sep, _disjoint = "letter", "|", False
+    letters = _Groups.groups
 
     @classmethod
     def parse(cls, text):
         """Parse piped shorthand, e.g. ``"1|3|24"``."""
-        groups = _parse_groups(text, "|", "letter")
-        try:
-            return cls(groups)
-        except ValueError as exc:
-            raise NotationError(str(exc)) from None
+        return cls._parse(text)
 
     @classmethod
     def from_parts(cls, composition):
         """View a set composition as a word of its parts."""
         return cls(composition.parts)
 
-    def format(self, mode=None):
-        return _format_groups(self.letters, "|", mode)
-
-    def sort_key(self):
-        return _format_groups(self.letters, "|", "extended")
-
-    @property
-    def length(self):
-        return len(self.letters)
-
-    @property
-    def weight(self):
-        return sum(len(letter) for letter in self.letters)
-
     def ground(self):
-        return tuple(sorted(set().union(*map(set, self.letters)))) if self.letters else ()
+        """Sorted distinct elements: unlike parts, letters may overlap."""
+        return tuple(sorted(set().union(*self.letters)))
 
     def prefix(self, i):
         """The first ``i`` letters."""
@@ -97,23 +71,6 @@ class Word:
         if not 0 <= i <= len(self.letters):
             raise ValueError(f"suffix start {i} out of range")
         return Word._of(self.letters[i:])
-
-    def __eq__(self, other):
-        if not isinstance(other, Word):
-            return NotImplemented
-        return self.letters == other.letters
-
-    def __hash__(self):
-        return hash((Word, self.letters))
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __str__(self):
-        return self.format()
-
-    def __repr__(self):
-        return f"Word({self.format() or chr(0x2205)!r})"
 
 
 EMPTY_WORD = Word()

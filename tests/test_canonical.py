@@ -44,7 +44,7 @@ def canonical_partition(q):
 def canonical_groups(value, cls, attr):
     groups = getattr(value, attr)
     rebuilt = cls(groups)
-    assert rebuilt == value and groups == getattr(rebuilt, attr)
+    assert rebuilt == value and groups == getattr(rebuilt, attr) and hash(rebuilt) == hash(value)
 
 
 class TestTrustedResultsAreCanonical:
@@ -117,6 +117,43 @@ class TestTrustedResultsAreCanonical:
         for w in left_quasi_shuffle(u, v):
             canonical_groups(w, Word, "letters")
             canonical_groups(pairing(w, u, v), Word, "letters")
+
+
+class TestOneBodyPerFamily:
+    """The three group types share one body and the two element types
+    another; each type keeps its own name, text and equality."""
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (SetPartition(), "SetPartition('∅')"),
+            (P("1,10.2"), "SetPartition('1,10.2')"),
+            (SetComposition(), "SetComposition('∅')"),
+            (C("38|12"), "SetComposition('38|12')"),
+            (Word(), "Word('∅')"),
+            (W("12|2"), "Word('12|2')"),
+            (NCSymElement.zero(), "NCSymElement<0>"),
+            (NCSymElement.unit(), "NCSymElement<∅>"),
+            (NCSymElement({P("12"): -1, P("1.2"): 3}), "NCSymElement<-(12) + 3(1.2)>"),
+            (TensorElement.zero(), "TensorElement<0>"),
+            (TensorElement.pure(P("1"), P("1"), 2), "TensorElement<2(1)⊗(1)>"),
+        ],
+    )
+    def test_repr(self, value, text):
+        assert repr(value) == text
+
+    def test_types_with_equal_contents_differ(self):
+        groups = ((1,),)
+        for a, b in itertools.permutations(
+            [SetPartition(groups), SetComposition(groups), Word(groups)], 2
+        ):
+            assert a != b and not a == b
+        assert NCSymElement.zero() != TensorElement.zero()
+        assert {SetPartition(groups): 1, SetComposition(groups): 2, Word(groups): 3}[Word(groups)] == 3
+
+    def test_word_ground_merges_overlapping_letters(self):
+        assert W("23|12|2").ground() == (1, 2, 3)
+        assert Word().ground() == ()
 
 
 def _raises(exc, message, thunk):

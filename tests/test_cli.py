@@ -1,11 +1,15 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncsym import hopf, serialize, verify, words
+from ncsym import SetPartition, hopf, serialize, verify, words
 from ncsym.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -357,3 +361,68 @@ class TestJsonRoundTrip:
             for c in report["checks"]
         ] == body
         assert report["ok"] is True
+
+
+# A bounded argv grammar: every subcommand and both encodings, well-formed
+# shorthand (partitions of at most 5 blocks) mixed with raw text over the
+# shorthand alphabet, which is at most 9 characters and so at most 5 blocks.
+RAW = st.text(alphabet="0123456789.,|∅", max_size=9)
+
+
+def _shorthand(labelled):
+    """Text of the partition putting each element in the block of its label."""
+    blocks = {}
+    for element, label in labelled.items():
+        blocks.setdefault(label, []).append(element)
+    return SetPartition(blocks.values()).format()
+
+
+PARTITIONS = st.one_of(
+    RAW, st.dictionaries(st.integers(1, 12), st.integers(0, 4), max_size=8).map(_shorthand)
+)
+GROUPS = st.one_of(
+    RAW,
+    st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=3), max_size=4).map(
+        lambda groups: "|".join("".join(map(str, g)) for g in groups)
+    ),
+)
+LETTERS = st.text(alphabet="abc", max_size=6)
+
+
+COMMANDS = [
+    "product", "coproduct", "counit", "antipode", "primitive", "atoms", "is-atomic",
+    "eval", "qshuffle", "lyndon", "hall", "enumerate", "verify",
+]
+
+
+def _arguments(draw, command):
+    if command == "product":
+        return [draw(PARTITIONS), draw(PARTITIONS)]
+    if command == "antipode":
+        methods = st.sampled_from([[], ["--method", "direct"], ["--method", "oracle"]])
+        return [draw(PARTITIONS), *draw(methods)]
+    if command == "eval":
+        return [draw(GROUPS), draw(PARTITIONS)]
+    if command == "qshuffle":
+        return [draw(GROUPS), draw(GROUPS), *draw(st.sampled_from([[], ["--left"]]))]
+    if command in ("lyndon", "hall"):
+        return [draw(LETTERS)]
+    if command == "enumerate":
+        kind = draw(st.sampled_from(["partitions", "atomic", "compositions", "anchored"]))
+        size = draw(st.integers(-1, 6))
+        return [kind, str(size), *draw(st.sampled_from([[], ["--count"]]))]
+    if command == "verify":
+        weight, seed = draw(st.integers(-1, 2)), draw(st.integers(0, 9))
+        return ["--checks", "counit-laws", "--max-weight", str(weight), "--seed", str(seed)]
+    return [draw(PARTITIONS)]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_fuzzed_argv_exits_0_or_2(command, fmt, data):
+    argv = [command, *_arguments(data.draw, command), "--format", fmt]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2), argv
