@@ -500,10 +500,11 @@ def reduced_coproduct(x):
 def convolve(left_map, right_map, part):
     """m (f tensor g) Delta on a basis partition; the maps send partitions to
     elements."""
-    total = NCSymElement.zero()
-    for (p, q), coeff in coproduct(NCSymElement.from_partition(part)).items():
-        total = total + coeff * (left_map(p) * right_map(q))
-    return total
+    return NCSymElement._combine(
+        (key, coeff * c)
+        for (p, q), coeff in coproduct(NCSymElement.from_partition(part))._terms.items()
+        for key, c in (left_map(p) * right_map(q))._terms.items()
+    )
 
 
 def atom_key(part):

@@ -28,24 +28,21 @@ __all__ = [
 ]
 
 
-def partition_to_obj(part):
-    return [list(block) for block in part.blocks]
+def partition_to_obj(value):
+    """The groups of a partition, a composition or a word as int lists; the
+    three ``*_to_obj`` names of those types are this one function."""
+    return [list(group) for group in value.groups]
+
+
+composition_to_obj = word_to_obj = partition_to_obj
 
 
 def partition_from_obj(obj):
     return SetPartition(obj)
 
 
-def composition_to_obj(comp):
-    return [list(p) for p in comp.parts]
-
-
 def composition_from_obj(obj):
     return SetComposition(obj)
-
-
-def word_to_obj(word):
-    return [list(letter) for letter in word.letters]
 
 
 def word_from_obj(obj):

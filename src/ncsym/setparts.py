@@ -89,7 +89,7 @@ def _parse_groups(text, sep, kind):
         members = []
         if extended:
             for item in token.split(","):
-                if not item.isdigit():
+                if not (item.isascii() and item.isdigit()):
                     raise NotationError(f"malformed integer {item!r} in {kind} {token!r}")
                 members.append(int(item))
         else:

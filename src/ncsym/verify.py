@@ -403,11 +403,12 @@ def check_quasi_shuffle(max_weight, rng):
             involution_ok = True
             parity = 0
             for w in left:
-                mate = words.pairing(w, u, v)
+                # Both calls take words of ``left``: the mate is tested first.
+                mate = words._pairing(w, v)
                 if (
                     mate == w
                     or mate not in left
-                    or words.pairing(mate, u, v) != w
+                    or words._pairing(mate, v) != w
                     or abs(mate.length - w.length) != 1
                 ):
                     involution_ok = False

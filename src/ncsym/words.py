@@ -139,6 +139,11 @@ def pairing(w, u, v):
     """
     if w not in left_quasi_shuffle(u, v):
         raise ValueError("word is not a left quasi-shuffle of the given pair")
+    return _pairing(w, v)
+
+
+def _pairing(w, v):
+    """``pairing`` on a word known to be a left quasi-shuffle of (u, v)."""
     head = set(v.letters[0])
     spot = next(i for i, letter in enumerate(w.letters) if head.intersection(letter))
     letters = list(w.letters)

@@ -13,6 +13,7 @@ import pytest
 from ncsym import (
     EMPTY_PARTITION,
     NCSymElement,
+    NotationError,
     SetComposition,
     SetPartition,
     TensorElement,
@@ -28,6 +29,7 @@ from ncsym import (
     set_compositions,
     set_partitions,
 )
+from ncsym.cli import main
 
 P = SetPartition.parse
 C = SetComposition.parse
@@ -174,6 +176,18 @@ class TestBoundaryStaysStrict:
     def test_partition_constructor(self, blocks, message):
         _raises(ValueError, message, lambda: SetPartition(blocks))
         _raises(ValueError, message, lambda: serialize.partition_from_obj(blocks))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("١,2.3", "malformed integer '١' in block '١,2'"),
+            ("1,²", "malformed integer '²' in block '1,²'"),
+        ],
+    )
+    def test_extended_form_takes_ascii_digits_only(self, text, message, capsys):
+        _raises(NotationError, message, lambda: P(text))
+        assert main(["antipode", text]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_is_standard(self):
         assert SetPartition([(2,), (3,)]).is_standard() is False

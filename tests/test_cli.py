@@ -1,7 +1,9 @@
+import argparse
 import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncsym import SetPartition, hopf, serialize, verify, words
-from ncsym.cli import main
+from ncsym.cli import ENUMERATE_LIMIT, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -100,6 +102,56 @@ class TestBasicCommands:
         lines = out.splitlines()
         assert lines[0].startswith("# verify max-weight=2")
         assert lines[1] == "ok antipode-methods cases=4"
+
+
+class TestEnumerateBound:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("compositions", "12"),
+                "enumerate compositions 12: predicted count Fubini(12) = 28091567595",
+            ),
+            (
+                ("partitions", "1000000"),
+                "enumerate partitions 1000000: predicted count Bell(1000000) > 474869816156751",
+            ),
+            (
+                ("atomic", "12", "--count"),
+                "enumerate atomic 12: predicted count Bell(12) = 4213597",
+            ),
+            (("anchored", "9"), "enumerate anchored 9: predicted count Fubini(9) = 7087261"),
+        ],
+    )
+    def test_refused_at_once(self, capsys, argv, message):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "enumerate", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == f"error: {message} (limit {ENUMERATE_LIMIT})\n"
+
+    def test_counts_under_the_limit_still_print(self, capsys):
+        assert run_cli(capsys, "enumerate", "partitions", "8", "--count")[:2] == (0, "4140\n")
+
+    def test_negative_size_keeps_its_message(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "compositions", "-1")
+        assert (code, out, err) == (2, "", "error: size must be a nonnegative integer, got -1\n")
+
+
+class TestParserBuiltOnce:
+    def test_later_calls_build_no_parser(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        main(["counit", "1"])
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["product", "1", "1"]) == 0
+        assert main(["antipode", "1", "--bogus"]) == 2
+        assert built == []
 
 
 class TestAntipodeSizes:
