@@ -5,9 +5,10 @@ parser, built on its first call and kept for the life of the process.
 
 Exit codes: 0 on success, 1 when ``verify`` finds a failing check, 2 for
 unparseable or invalid input (the message names the offending token), for an
-``enumerate`` predicted to exceed ``ENUMERATE_LIMIT`` values and for input too
-large to compute (recursion limit or memory exhausted), each with one
-``error:`` line on stderr.
+``enumerate`` predicted to exceed ``ENUMERATE_LIMIT`` values, for input too
+large to compute (recursion limit or memory exhausted) and for a
+``TypeError`` escaping a command, and 130 when interrupted (Ctrl-C), each
+error with one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -276,8 +277,11 @@ def main(argv=None):
             return result or 0
         _emit(result, args.fmt)
         return 0
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except RecursionError:
         print("error: input too large: recursion limit exceeded", file=sys.stderr)
     except MemoryError:

@@ -12,6 +12,15 @@ graded-connected recursion used as an independent oracle.  The primitive
 generators, their leading-term order, and the Hall bracket basis of the
 primitive Lie algebra live here too.
 
+The primitive generator of A, the signed sum over the compositions anchored
+at 1, is computed as primitive(A) = sum over the block sets K holding block
+1 of std(A|K) * S(std(A|rest)), with S(empty) = 1.  Proof: split each
+anchored composition into its first part K and a composition of the rest;
+the signed sum over those is the antipode of the rest, with the sign of the
+first part moved onto it.  So ``primitive`` runs on the default antipode
+route's kernel, and the anchored sum itself (``_primitive_anchored``)
+referees it in ``verify`` and the tests.
+
 Inside one atom the default route works on restricted growth strings (Knuth,
 TAOCP 4A, 7.2.1.5) held as ``bytes``: byte i is the 0-based index, in
 block-minima order, of the block holding i + 1, so 14.2.3 is
@@ -258,20 +267,27 @@ def coproduct(x):
 
     A basis partition with r blocks contributes 2^r terms, one per ordered
     pair (K, L) with K and L disjoint and covering {1..r}, including the
-    empty sides.
+    empty sides.  Each term is encoded once and its splits taken as byte
+    translates (see ``_all_splits``); equal (head, tail) code pairs are
+    summed in one dict before any decoding, and each distinct code is
+    decoded once.  Terms of more than 255 blocks are refused, so that every
+    label and block count fits a byte.
     """
-    out = []
-    for part, coeff in x.items():
-        blocks = part.blocks
-        for k in range(len(blocks) + 1):
-            for left in itertools.combinations(blocks, k):
-                right = tuple(b for b in blocks if b not in left)
-                key = (
-                    SetPartition._of(left).standardize(),
-                    SetPartition._of(right).standardize(),
-                )
-                out.append((key, coeff))
-    return TensorElement._combine(out)
+    widest = max((part.length for part in x._terms), default=0)
+    if widest > 255:
+        raise ValueError(f"partition has {widest} blocks; the coproduct supports at most 255")
+    tables = _split_tables(min(widest, MAX_PARTS))
+    splits = {}
+    for part, coeff in x._terms.items():
+        heads = _all_splits(_encode(part), part.length, tables)
+        # The tail of label mask K is the head of its complement, which runs
+        # down as K runs up.
+        for pair in zip(heads, reversed(heads)):
+            splits[pair] = splits.get(pair, 0) + coeff
+    decoded = {code: _decode(code) for code in set(itertools.chain.from_iterable(splits))}
+    return TensorElement._combine(
+        ((decoded[head], decoded[tail]), c) for (head, tail), c in splits.items()
+    )
 
 
 def counit(x):
@@ -351,14 +367,89 @@ def _code_atoms(code, labels):
 def _split_tables(labels):
     """Per label mask K below 2^labels: the table that ranks K's labels and
     the bytes of the labels outside K, so that ``code.translate(*tables[K])``
-    is std(A|K) for any code with at most ``labels`` labels."""
+    is std(A|K) for any code with at most ``labels`` labels.  A label past
+    ``labels`` is shifted down to follow K's labels, so a code whose higher
+    labels were already split (``_all_splits``) keeps them in order."""
+    identity = _SHIFT[0]
     ranks, drops = [b""], [b""]
     for label in range(labels):
         # A label's rank under mask K is the number of K's labels below it.
-        ranks = [r + bytes((label - len(d),)) for r, d in zip(ranks, drops)] * 2
-        drops = [d + bytes((label,)) for d in drops] + drops
-    pad = bytes(256 - labels)
-    return [(r + pad, d) for r, d in zip(ranks, drops)]
+        ranks = [
+            r + identity[label - len(d) : label - len(d) + 1] for r, d in zip(ranks, drops)
+        ] * 2
+        drops = [d + identity[label : label + 1] for d in drops] + drops
+    return [(r + identity[labels - len(d) : 256 - len(d)], d) for r, d in zip(ranks, drops)]
+
+
+def _split_table(labels, mask):
+    """The translate arguments that keep the labels in ``mask``, ranked, and
+    delete the others: one table, built alone."""
+    kept = bytes(label for label in range(labels) if mask >> label & 1)
+    drop = bytes(label for label in range(labels) if not mask >> label & 1)
+    return bytes.maketrans(kept, bytes(range(len(kept)))), drop
+
+
+def _all_splits(code, labels, tables):
+    """std(A|K) for every label mask K below 2^labels, in increasing order,
+    given ``_split_tables(min(labels, MAX_PARTS))`` or a larger such set.
+
+    The tables of the low ``MAX_PARTS`` labels are applied after each split of
+    the higher labels, whose tables are built one at a time: tables in memory
+    stay bounded by 2^MAX_PARTS, however many blocks."""
+    low = min(labels, MAX_PARTS)
+    highs = range((1 << low) - 1, 1 << labels, 1 << low)  # every low label kept
+    parts = (
+        (code.translate(*_split_table(labels, high)) for high in highs) if labels > low else (code,)
+    )
+    tables = tables[: 1 << low]
+    return [part.translate(*table) for part in parts for table in tables]
+
+
+def _kernel(widest):
+    """The default route's antipode on restricted growth strings of at most
+    ``widest`` labels, memoized for one call.
+
+    Returns ``antipode_of(code)``, a dict of codes to coefficients, and
+    ``first_part_sum(code, anchored, sign)``: sign times the sum over the
+    nonempty label sets K of std(A|K) * S(std(A|rest)), K running over the
+    sets holding label 0 only when ``anchored``.  Equal (head, tail) splits are
+    combined first; a product is ``head + q`` with q's labels shifted up.
+    """
+    memo = {b"": {b"": 1}}
+    tables = _split_tables(widest)
+
+    def first_part_sum(code, anchored, sign):
+        subs = [code.translate(*tables[mask]) for mask in range(1 << (max(code) + 1))]
+        # (std(A|K), std(A|rest)) for each K: the mask of rest is the
+        # all-labels mask minus K, which runs down as K runs up; the masks
+        # holding label 0 are the odd ones.
+        step = 2 if anchored else 1
+        splits = collections.Counter(zip(subs[1::step], subs[-2::-step]))
+        return _summed(
+            (head + q.translate(_SHIFT[max(head) + 1]), sign * coeff * c)
+            for (head, tail), coeff in splits.items()
+            for q, c in antipode_of(tail).items()
+        )
+
+    def antipode_of(code):
+        got = memo.get(code)
+        if got is not None:
+            return got
+        pieces = _code_atoms(code, max(code) + 1)
+        if len(pieces) == 1:
+            got = first_part_sum(code, False, -1)
+        else:
+            got = {b"": 1}
+            for piece in pieces:
+                got = {
+                    x + y.translate(_SHIFT[max(x) + 1]): cx * cy
+                    for x, cx in antipode_of(piece).items()
+                    for y, cy in got.items()
+                }
+        memo[code] = got
+        return got
+
+    return antipode_of, first_part_sum
 
 
 def antipode_factored(part):
@@ -392,38 +483,9 @@ def antipode_factored(part):
             f"partition has an atom of {widest} blocks; "
             f"the factored antipode supports atoms of at most {MAX_PARTS}"
         )
-    memo = {b"": {b"": 1}}
-    tables = _split_tables(widest)
-
-    def value(code):
-        got = memo.get(code)
-        if got is not None:
-            return got
-        labels = max(code) + 1
-        pieces = _code_atoms(code, labels)
-        if len(pieces) == 1:
-            subs = [code.translate(*tables[mask]) for mask in range(1 << labels)]
-            # (std(A|K), std(A|rest)) for every nonempty K: the mask of rest
-            # is the all-labels mask minus K, which runs down as K runs up.
-            splits = collections.Counter(zip(subs[1:], subs[-2::-1]))
-            got = _summed(
-                (head + q.translate(_SHIFT[max(head) + 1]), -coeff * c)
-                for (head, tail), coeff in splits.items()
-                for q, c in value(tail).items()
-            )
-        else:
-            got = {b"": 1}
-            for piece in pieces:
-                got = {
-                    x + y.translate(_SHIFT[max(x) + 1]): cx * cy
-                    for x, cx in value(piece).items()
-                    for y, cy in got.items()
-                }
-        memo[code] = got
-        return got
-
+    antipode_of, _ = _kernel(widest)
     factors = (
-        NCSymElement._combine((_decode(q), c) for q, c in value(_encode(atom)).items())
+        NCSymElement._combine((_decode(q), c) for q, c in antipode_of(_encode(atom)).items())
         for atom in reversed(atoms)
     )
     return functools.reduce(operator.mul, factors)
@@ -470,16 +532,37 @@ def antipode(x, method="factored"):
     )
 
 
-def primitive(part):
-    """Signed sum over the compositions anchored at 1.
-
-    Nonzero (and primitive) exactly when the input is atomic; zero for every
-    other nonempty standard partition.  Undefined on the empty partition.
-    """
+def _require_primitive_input(part):
     _require_standard(part, "primitive")
     if part.weight == 0:
         raise ValueError("primitive is undefined on the empty partition")
     _require_small(part)
+
+
+def primitive(part):
+    """Signed sum over the compositions anchored at 1, taken by first parts.
+
+    primitive(A) = sum over the block sets K holding block 1 of
+    std(A|K) * S(std(A|rest)), with S the antipode and S(empty) = 1: split
+    each anchored composition into its first part K and a composition of the
+    rest, whose signed sum is S(std(A|rest)).  Runs on the default route's
+    byte-string kernel and its per-call memo: 2^(r-1) head/tail pairs for r
+    blocks, against Fubini(r-1)-sized sums for the anchored compositions.
+
+    Nonzero (and primitive) exactly when the input is atomic; zero for every
+    other nonempty standard partition.  Undefined on the empty partition.
+    """
+    _require_primitive_input(part)
+    _, first_part_sum = _kernel(part.length)
+    return NCSymElement._combine(
+        (_decode(q), c) for q, c in first_part_sum(_encode(part), True, 1).items()
+    )
+
+
+def _primitive_anchored(part):
+    """``primitive`` by the full signed sum over the compositions anchored at
+    1: the referee of the first-part route in ``verify`` and the tests."""
+    _require_primitive_input(part)
     return NCSymElement._combine(
         (gamma.evaluate(part), 1 if gamma.length % 2 else -1)
         for gamma in anchored_compositions(part.length)

@@ -18,7 +18,6 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
 
 from . import hopf, setparts, words
 from .hopf import NCSymElement
@@ -46,11 +45,16 @@ SAMPLE_PARTITIONS = 12
 SAMPLE_PAIRS = 20
 
 
-@dataclass
 class CheckResult:
-    name: str
-    cases: int = 0
-    failures: list = field(default_factory=list)
+    """One check's name, the cases it tallied and the details of the failed
+    ones."""
+
+    __slots__ = ("name", "cases", "failures")
+
+    def __init__(self, name, cases=0, failures=None):
+        self.name = name
+        self.cases = cases
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self):
@@ -345,6 +349,7 @@ def check_primitives(max_weight, rng):
         if part.weight == 0:
             continue
         p = hopf.primitive(part)
+        res.tally(p == hopf._primitive_anchored(part), f"anchored-sum referee {part!r}")
         if part.is_atomic():
             res.tally(
                 hopf.reduced_coproduct(p).is_zero(), f"reduced coproduct {part!r}"

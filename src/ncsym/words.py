@@ -20,7 +20,9 @@ be 2-tuples.
 
 from __future__ import annotations
 
-from .setparts import SetComposition, _Groups, anchored_compositions
+import itertools
+
+from .setparts import SetComposition, _Groups
 
 __all__ = [
     "Word",
@@ -172,7 +174,8 @@ def restriction_tensor_sum(r, keep_left, keep_right):
     (-1)^length to the tensor key (gamma restricted to ``keep_left``, gamma
     restricted to ``keep_right``); returns the combined nonzero terms.
     Requires ``keep_left`` to be a proper subset containing 1 and the two
-    sets to split {1..r} disjointly.
+    sets to split {1..r} disjointly.  Summed by first parts (see
+    ``_signed_restrictions``), not by enumerating the compositions.
     """
     left = frozenset(keep_left)
     right = frozenset(keep_right)
@@ -183,15 +186,45 @@ def restriction_tensor_sum(r, keep_left, keep_right):
         raise ValueError("the left part must be a proper subset")
     if left & right or (left | right) != full:
         raise ValueError(f"parts must split {{1..{r}}} disjointly")
-    acc = {}
-    for gamma in anchored_compositions(r):
-        sign = -1 if gamma.length % 2 else 1
-        pair = (
-            Word._of(gamma.restrict(left).parts),
-            Word._of(gamma.restrict(right).parts),
-        )
-        acc[pair] = acc.get(pair, 0) + sign
-    return {pair: c for pair, c in acc.items() if c}
+    found = _signed_restrictions(tuple(range(1, r + 1)), left, right, anchored=True)
+    return {(Word._of(u), Word._of(v)): c for (u, v), c in found.items()}
+
+
+def _signed_restrictions(elems, left, right, anchored=False):
+    """Sum of (-1)^length (gamma|left, gamma|right) over the set compositions
+    gamma of the sorted tuple ``elems``, or over those whose first part holds
+    ``elems[0]`` when ``anchored``; ``left`` and ``right`` split the elements.
+
+    Keys are pairs of letter tuples, and zero sums are dropped.  Splitting
+    gamma into its first part K and a composition of the rest gives
+    -sum over K of (K & left, K & right) prepended to T(rest), where T is the
+    unanchored sum, memoized for this call on the tuple of elements left.
+    """
+    memo = {(): {((), ()): 1}}
+
+    def first_part_sum(elems, anchored):
+        head, tail = (elems[:1], elems[1:]) if anchored else ((), elems)
+        acc = {}
+        for size in range(not anchored, len(tail) + 1):
+            for extra in itertools.combinations(tail, size):
+                part = head + extra
+                on_left = tuple(e for e in part if e in left)
+                on_right = tuple(e for e in part if e in right)
+                first_u = (on_left,) if on_left else ()
+                first_v = (on_right,) if on_right else ()
+                rest = tuple(e for e in tail if e not in extra)
+                for (u, v), c in unanchored(rest).items():
+                    key = (first_u + u, first_v + v)
+                    acc[key] = acc.get(key, 0) - c
+        return {key: c for key, c in acc.items() if c}
+
+    def unanchored(elems):
+        got = memo.get(elems)
+        if got is None:
+            got = memo[elems] = first_part_sum(elems, False)
+        return got
+
+    return first_part_sum(tuple(elems), anchored)
 
 
 def is_lyndon(word, key=None):

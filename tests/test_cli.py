@@ -237,6 +237,28 @@ class TestErrors:
         code, out, err = run_cli(capsys, "qshuffle", "1", "2")
         assert (code, out, err) == (2, "", "error: input too large: out of memory\n")
 
+    def test_interrupt_exits_130(self, capsys, monkeypatch):
+        def interrupted(u, v):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(words, "quasi_shuffle", interrupted)
+        code, out, err = run_cli(capsys, "qshuffle", "1", "2")
+        assert (code, out, err) == (130, "", "error: interrupted\n")
+
+    def test_type_error_is_an_input_error(self, capsys, monkeypatch):
+        def mistyped(u, v):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(words, "quasi_shuffle", mistyped)
+        code, out, err = run_cli(capsys, "qshuffle", "1", "2")
+        assert (code, out, err) == (2, "", "error: unsupported operand\n")
+
+    def test_coproduct_of_256_blocks_is_refused(self, capsys):
+        singletons = ".".join(map(str, range(1, 257))) + ","
+        code, out, err = run_cli(capsys, "coproduct", singletons)
+        assert (code, out) == (2, "")
+        assert err == "error: partition has 256 blocks; the coproduct supports at most 255\n"
+
     @pytest.mark.parametrize("weight", ["-1", str(verify.MAX_WEIGHT + 1), "99"])
     def test_verify_weight_out_of_range(self, capsys, weight):
         code, out, err = run_cli(capsys, "verify", "--max-weight", weight)

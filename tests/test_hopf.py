@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from ncsym import (
@@ -28,7 +30,7 @@ from ncsym import (
     reduced_coproduct,
     set_partitions,
 )
-from ncsym.hopf import _decode, _encode
+from ncsym.hopf import _decode, _encode, _primitive_anchored
 
 P = SetPartition.parse
 E = NCSymElement.from_partition
@@ -36,6 +38,20 @@ E = NCSymElement.from_partition
 
 def element(*pairs):
     return NCSymElement((P(text), coeff) for text, coeff in pairs)
+
+
+def coproduct_by_block_combinations(x):
+    """The coproduct by every ordered split of the blocks, standardized one
+    by one: the body ``coproduct`` had before it split byte codes."""
+    pairs = []
+    for part, coeff in x.items():
+        blocks = part.blocks
+        for k in range(len(blocks) + 1):
+            for left in itertools.combinations(blocks, k):
+                right = tuple(b for b in blocks if b not in left)
+                key = (SetPartition(left).standardize(), SetPartition(right).standardize())
+                pairs.append((key, coeff))
+    return TensorElement(pairs)
 
 
 class TestElement:
@@ -102,6 +118,31 @@ class TestCoproduct:
         assert coproduct(NCSymElement.unit()) == TensorElement.pure(
             EMPTY_PARTITION, EMPTY_PARTITION
         )
+
+    def test_equals_block_combinations(self):
+        for n in range(7):
+            for part in set_partitions(n):
+                assert coproduct(E(part)) == coproduct_by_block_combinations(E(part))
+
+    def test_multi_term_element_cancels(self):
+        x = E(P("13.2")) - E(P("12.3")) + 2 * E(P("1"))
+        got = coproduct(x)
+        assert got == coproduct_by_block_combinations(x)
+        # (12)⊗(1) and (1)⊗(12) come from both 13.2 and 12.3 and cancel.
+        assert got.coefficient((P("12"), P("1"))) == 0
+        assert len(got.items()) == 6
+
+    def test_more_blocks_than_one_table_set(self):
+        # 12 blocks: the high labels are split before the low tables apply.
+        part = P("1,10.2,5.3.4,7.6,15.8.9.11.12,16.13.14.17")
+        assert part.length == MAX_PARTS + 2
+        assert coproduct(E(part)) == coproduct_by_block_combinations(E(part))
+
+    def test_refuses_more_than_255_blocks(self):
+        singletons = SetPartition([(i,) for i in range(1, 257)])
+        message = "^partition has 256 blocks; the coproduct supports at most 255$"
+        with pytest.raises(ValueError, match=message):
+            coproduct(E(singletons))
 
     def test_term_count_is_two_to_the_length(self):
         for text in ("1", "12.3", "13.2.4", "1.2.3.4"):
@@ -243,6 +284,15 @@ class TestPrimitive:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             primitive(EMPTY_PARTITION)
+
+    def test_first_parts_equal_the_anchored_sum(self):
+        # primitive(A) = sum over K holding block 1 of std(A|K) * S(std(A|rest)),
+        # refereed by the anchored-composition sum on every standard partition
+        # of weight 1 to 6.
+        parts = [part for n in range(1, 7) for part in set_partitions(n)]
+        assert len(parts) == 278
+        for part in parts:
+            assert primitive(part) == _primitive_anchored(part)
 
     def test_primitivity(self):
         assert reduced_coproduct(primitive(P("13.2"))).is_zero()

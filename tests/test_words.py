@@ -18,6 +18,8 @@ from ncsym import (
     tree_leaves,
     word_restrict,
 )
+from ncsym.setparts import anchored_compositions, compositions_of
+from ncsym.words import _signed_restrictions
 
 W = Word.parse
 
@@ -134,6 +136,44 @@ class TestRestriction:
             for extra in itertools.combinations(range(2, 5), size - 1):
                 left = frozenset((1,) + extra)
                 assert restriction_tensor_sum(4, left, base - left) == {}
+
+    def test_tensor_sum_equals_enumeration(self):
+        # The body restriction_tensor_sum had before it summed by first parts.
+        def by_enumeration(r, left, right):
+            acc = {}
+            for gamma in anchored_compositions(r):
+                pair = tuple(Word.from_parts(gamma.restrict(side)) for side in (left, right))
+                acc[pair] = acc.get(pair, 0) + (-1) ** gamma.length
+            return {pair: c for pair, c in acc.items() if c}
+
+        cases = 0
+        for r in range(2, 6):
+            base = frozenset(range(1, r + 1))
+            for size in range(1, r):
+                for extra in itertools.combinations(range(2, r + 1), size - 1):
+                    left = frozenset((1,) + extra)
+                    got = restriction_tensor_sum(r, left, base - left)
+                    assert got == by_enumeration(r, left, base - left)
+                    cases += 1
+        assert cases == 26
+
+    def test_unanchored_first_part_sum_equals_brute_force(self):
+        splits = 0
+        for r in range(1, 6):
+            elems = tuple(range(1, r + 1))
+            compositions = list(compositions_of(elems))
+            for mask in range(1 << r):
+                left = frozenset(e for e in elems if mask >> (e - 1) & 1)
+                right = frozenset(elems) - left
+                want = {}
+                for gamma in compositions:
+                    key = (gamma.restrict(left).parts, gamma.restrict(right).parts)
+                    want[key] = want.get(key, 0) + (-1) ** gamma.length
+                want = {key: c for key, c in want.items() if c}
+                got = _signed_restrictions(elems, left, right)
+                assert got == want and got
+                splits += 1
+        assert splits == 62
 
     def test_tensor_sum_validation(self):
         with pytest.raises(ValueError):
