@@ -5,7 +5,8 @@ parser, built on its first call and kept for the life of the process.
 
 Exit codes: 0 on success, 1 when ``verify`` finds a failing check, 2 for
 unparseable or invalid input (the message names the offending token), for an
-``enumerate`` predicted to exceed ``ENUMERATE_LIMIT`` values, for input too
+``enumerate`` predicted to exceed ``ENUMERATE_LIMIT`` values or a
+``coproduct`` predicted to exceed as many splits, for input too
 large to compute (recursion limit or memory exhausted) and for a
 ``TypeError`` escaping a command, and 130 when interrupted (Ctrl-C), each
 error with one ``error:`` line on stderr.
@@ -28,7 +29,8 @@ __all__ = ["main", "build_parser"]
 
 WARN_PARTS = 8
 
-# enumerate refuses a kind and size whose predicted count exceeds this.
+# enumerate refuses a kind and size whose predicted count exceeds this, and
+# coproduct a partition with more splits.
 ENUMERATE_LIMIT = 10**6
 
 _STREAMS = {
@@ -70,7 +72,15 @@ def _cmd_product(args):
 
 
 def _cmd_coproduct(args):
-    return hopf.coproduct(_element(args.partition))
+    part = SetPartition.parse(args.partition)
+    x = NCSymElement.from_partition(part)
+    # r blocks have 2^r splits; over 255 blocks hopf.coproduct refuses first.
+    r = part.length
+    if r <= 255 and 2**r > ENUMERATE_LIMIT:
+        raise ValueError(
+            f"coproduct of {r} blocks: predicted 2^{r} = {2**r} splits (limit {ENUMERATE_LIMIT})"
+        )
+    return hopf.coproduct(x)
 
 
 def _cmd_counit(args):

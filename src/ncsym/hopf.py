@@ -21,27 +21,32 @@ first part moved onto it.  So ``primitive`` runs on the default antipode
 route's kernel, and the anchored sum itself (``_primitive_anchored``)
 referees it in ``verify`` and the tests.
 
-Inside one atom the default route works on restricted growth strings (Knuth,
-TAOCP 4A, 7.2.1.5) held as ``bytes``: byte i is the 0-based index, in
+Inside this module a standard partition is its code: its restricted growth
+string (Knuth, TAOCP 4A, 7.2.1.5), whose entry i is the 0-based index, in
 block-minima order, of the block holding i + 1, so 14.2.3 is
 ``bytes((0, 1, 2, 0))``.  Ordering blocks by their minima is exactly the
-restricted-growth condition, so equal partitions have equal strings and
-nothing needs sorting.  Keeping the blocks of a label set and standardizing
-is one ``bytes.translate`` that ranks the kept labels and deletes the other
-positions; concatenation appends the second string with its labels shifted
-up by the first's block count.
-
-Everything is exact: coefficients are Python ints, and the kernel
-computations run on fraction-free integer elimination.
+restricted-growth condition, so equal partitions have equal codes and
+nothing needs sorting.  A code is ``bytes`` up to 255 blocks and a tuple of
+the same ints past that, so every partition has exactly one code (a tuple
+never equals ``bytes``); ``_encode`` and the product ``_concat`` are where
+tuples arise.  Keeping the blocks of a label set and standardizing is one
+``bytes.translate`` that ranks the kept labels and deletes the other
+positions (``_TABLES``, built once); the product appends the second code
+with its labels shifted up by the first's block count.
 
 ``NCSymElement`` and ``TensorElement`` share one private base,
-``_Combination`` (arithmetic, equality, hash, text form); they stay two types
-because their keys differ in check, order and product.
+``_Combination`` (arithmetic, equality, hash, text form), whose terms are
+keyed by codes: one per ``NCSymElement`` term, a pair per ``TensorElement``
+term.  Partitions are made only at the boundary.  The public constructors
+(which ``serialize`` decodes through), ``from_partition``, ``pure`` and
+``coefficient`` encode their partitions, after the checks; ``items``,
+``support``, the text forms and the maps handed to ``convolve`` decode each
+distinct code once per call.  Sums, products, coproducts, antipodes and
+primitives stay codes and are trusted: ``_Combination._combine`` and
+``_wrap`` build them without re-checking.
 
-Elements are validated where they enter: the public constructors, which
-``serialize`` decodes through, and the arguments of public functions.  Sums,
-products, coproducts and antipodes are trusted: ``_Combination._combine``
-builds them without re-checking their canonical keys.
+Everything is exact: coefficients are Python ints, and the primitive-space
+dimensions come from fraction-free integer elimination.
 """
 
 from __future__ import annotations
@@ -49,11 +54,9 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-import operator
 
 from .linalg import integer_rank
 from .setparts import (
-    EMPTY_PARTITION,
     SetPartition,
     _label,
     anchored_compositions,
@@ -92,29 +95,89 @@ __all__ = [
 # Fubini(10) ~ 1.02e8 summands is the practical wall for the composition-sum
 # formulas, which cap the total block count here; the default antipode route
 # caps each atom's block count instead (3^10 = 59 049 head/tail pairs), which
-# also keeps the labels of its byte strings below MAX_PARTS.  Larger inputs
+# also keeps the labels of its kernel codes below MAX_PARTS.  Larger inputs
 # are rejected rather than left to run for hours.
 MAX_PARTS = 10
 
 
-def _check_basis_partition(part):
+def _encode(part):
+    """Code of a standard partition: entry i is the index, in block-minima
+    order, of the block holding i + 1; ``bytes`` up to 255 blocks, else a
+    tuple."""
+    code = [0] * part.weight
+    for label, block in enumerate(part.blocks):
+        for e in block:
+            code[e - 1] = label
+    return bytes(code) if len(part.blocks) <= 255 else tuple(code)
+
+
+def _decode(code):
+    """Standard partition of a code."""
+    blocks = [[] for _ in range(_blocks(code))]
+    for i, label in enumerate(code, 1):
+        blocks[label].append(i)
+    return SetPartition._of(tuple(map(tuple, blocks)))
+
+
+def _blocks(code):
+    """Block count of a code: one more than its largest label."""
+    return max(code, default=-1) + 1
+
+
+# _SHIFT[k] adds k to every label byte, _UNSHIFT[k] subtracts it.
+_IDENTITY = bytes(range(256))
+_SHIFT = [_IDENTITY[k:] + _IDENTITY[:k] for k in range(256)]
+_UNSHIFT = [_SHIFT[-k] for k in range(256)]
+
+
+def _concat(x, y):
+    """Code of the concatenation product: x, then y with its labels shifted
+    up by x's block count; a tuple once the blocks pass 255."""
+    k = _blocks(x)
+    # A code has no more blocks than entries, so short codes skip a max.
+    if len(x) + len(y) <= 255 or k + _blocks(y) <= 255:
+        return x + y.translate(_SHIFT[k])
+    return (*x, *(label + k for label in y))
+
+
+def _basis_code(part):
+    """Code of an element's term key, after checking that it is a standard
+    partition."""
     if not isinstance(part, SetPartition):
         raise TypeError(f"term keys must be SetPartition, got {type(part).__name__}")
     if not part.is_standard():
         raise ValueError(f"element terms must be standard partitions, got {part!r}")
+    return _encode(part)
 
 
-def _check_tensor_key(pair):
+def _tensor_code(pair):
     if not (isinstance(pair, tuple) and len(pair) == 2):
         raise TypeError("tensor keys must be pairs of partitions")
-    _check_basis_partition(pair[0])
-    _check_basis_partition(pair[1])
+    return _basis_code(pair[0]), _basis_code(pair[1])
+
+
+def _lookup_code(part):
+    """Code of a standard partition; any other argument comes back in a
+    1-tuple, which hashes it as a dict lookup would and equals no code."""
+    if isinstance(part, SetPartition) and part.is_standard():
+        return _encode(part)
+    return (part,)
+
+
+def _tensor_lookup(pair):
+    if isinstance(pair, tuple) and len(pair) == 2:
+        return _lookup_code(pair[0]), _lookup_code(pair[1])
+    return (pair,)
 
 
 def _summed(pairs):
     data = {}
     for key, coeff in pairs:
         data[key] = data.get(key, 0) + coeff
+    return _nonzero(data)
+
+
+def _nonzero(data):
     # Deleting the cancelled keys in place hashes no surviving key again.
     for key in [key for key, c in data.items() if not c]:
         del data[key]
@@ -123,8 +186,9 @@ def _summed(pairs):
 
 class _Combination:
     """Shared body of ``NCSymElement`` and ``TensorElement``: immutable integer
-    combinations of keys, the subclass naming key check, order and product.
-    No zero coefficient is stored; equality is term-map equality."""
+    combinations keyed by codes, the subclass naming how a key is encoded,
+    decoded, ordered and multiplied.  No zero coefficient is stored; equality
+    is term-map equality."""
 
     __slots__ = ("_terms",)
 
@@ -134,16 +198,21 @@ class _Combination:
 
     def _checked(self, pair):
         key, coeff = pair
-        self._check_key(key)
+        code = self._key_code(key)
         if not isinstance(coeff, int) or isinstance(coeff, bool):
             raise TypeError(f"coefficients must be int, got {coeff!r}")
-        return pair
+        return code, coeff
 
     @classmethod
     def _combine(cls, pairs):
-        """Trusted constructor: sums (key, int) pairs whose keys are canonical."""
+        """Trusted constructor: sums (code, int) pairs."""
+        return cls._wrap(_summed(pairs))
+
+    @classmethod
+    def _wrap(cls, data):
+        """Trusted constructor that takes over a dict of codes to ints."""
         self = object.__new__(cls)
-        self._terms = _summed(pairs)
+        self._terms = _nonzero(data)
         return self
 
     @classmethod
@@ -151,13 +220,13 @@ class _Combination:
         return cls()
 
     def coefficient(self, key):
-        return self._terms.get(key, 0)
+        return self._terms.get(self._lookup(key), 0)
 
     def support(self):
-        return sorted(self._terms, key=self._sort_key)
+        return [key for key, _ in self.items()]
 
     def items(self):
-        return [(key, self._terms[key]) for key in self.support()]
+        return sorted(self._decoded(), key=lambda kc: self._sort_key(kc[0]))
 
     def is_zero(self):
         return not self._terms
@@ -184,11 +253,11 @@ class _Combination:
         return self + (-other)
 
     def __neg__(self):
-        return self._combine((key, -c) for key, c in self._terms.items())
+        return self._wrap({key: -c for key, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
-            return self._combine((key, c * other) for key, c in self._terms.items())
+            return self._wrap({key: c * other for key, c in self._terms.items()})
         if isinstance(other, type(self)):
             return self._combine(
                 (self._key_product(a, b), ca * cb)
@@ -214,9 +283,14 @@ class NCSymElement(_Combination):
     """Integer linear combination of standard set partitions."""
 
     __slots__ = ()
-    _check_key = staticmethod(_check_basis_partition)
+    _key_code = staticmethod(_basis_code)
+    _lookup = staticmethod(_lookup_code)
     _sort_key = staticmethod(SetPartition.sort_key)
-    _key_product = staticmethod(SetPartition._concat)
+    _key_product = staticmethod(_concat)
+
+    def _decoded(self):
+        """The terms as (partition, coefficient) pairs, unsorted."""
+        return [(_decode(code), c) for code, c in self._terms.items()]
 
     @classmethod
     def from_partition(cls, part):
@@ -224,10 +298,10 @@ class NCSymElement(_Combination):
 
     @classmethod
     def unit(cls):
-        return cls._combine(((EMPTY_PARTITION, 1),))
+        return cls._wrap({b"": 1})
 
     def weights(self):
-        return sorted({part.weight for part in self._terms})
+        return sorted(set(map(len, self._terms)))
 
     def is_homogeneous(self):
         return len(self.weights()) <= 1
@@ -237,7 +311,14 @@ class TensorElement(_Combination):
     """Integer combination of ordered pairs of standard set partitions."""
 
     __slots__ = ()
-    _check_key = staticmethod(_check_tensor_key)
+    _key_code = staticmethod(_tensor_code)
+    _lookup = staticmethod(_tensor_lookup)
+
+    def _decoded(self):
+        """The terms as ((left, right), coefficient) pairs, unsorted, each
+        distinct code decoded once."""
+        parts = {code: _decode(code) for code in set(itertools.chain.from_iterable(self._terms))}
+        return [((parts[a], parts[b]), c) for (a, b), c in self._terms.items()]
 
     @staticmethod
     def _sort_key(pair):
@@ -245,7 +326,7 @@ class TensorElement(_Combination):
 
     @staticmethod
     def _key_product(a, b):
-        return a[0]._concat(b[0]), a[1]._concat(b[1])
+        return _concat(a[0], b[0]), _concat(a[1], b[1])
 
     @classmethod
     def pure(cls, left, right, coeff=1):
@@ -253,7 +334,7 @@ class TensorElement(_Combination):
 
     def twist(self):
         """Swap the tensor factors."""
-        return self._combine(((q, p), c) for (p, q), c in self._terms.items())
+        return self._wrap({(q, p): c for (p, q), c in self._terms.items()})
 
 
 def product(x, y):
@@ -262,37 +343,78 @@ def product(x, y):
     return x * y
 
 
+def _split_tables(labels):
+    """Per label mask K below 2^labels: the table that ranks K's labels and
+    the bytes of the labels outside K, so that ``code.translate(*tables[K])``
+    is std(A|K) for any code with at most ``labels`` labels (the labels it
+    lacks only sit in the delete sets).  A label past ``labels`` is
+    shifted down to follow K's labels, so a code whose higher labels were
+    already split (``_all_splits``) keeps them in order."""
+    ranks, drops = [b""], [b""]
+    for label in range(labels):
+        # A label's rank under mask K is the number of K's labels below it.
+        ranks = [
+            r + _IDENTITY[label - len(d) : label - len(d) + 1] for r, d in zip(ranks, drops)
+        ] * 2
+        drops = [d + _IDENTITY[label : label + 1] for d in drops] + drops
+    return [(r + _IDENTITY[labels - len(d) : 256 - len(d)], d) for r, d in zip(ranks, drops)]
+
+
+# The split tables of every code, built once: 2^MAX_PARTS pairs, about 270 KB.
+_TABLES = _split_tables(MAX_PARTS)
+
+
+def _split_table(labels, mask):
+    """The translate arguments that keep the labels in ``mask``, ranked, and
+    delete the others: one table, built alone."""
+    kept = bytes(label for label in range(labels) if mask >> label & 1)
+    drop = bytes(label for label in range(labels) if not mask >> label & 1)
+    return bytes.maketrans(kept, bytes(range(len(kept)))), drop
+
+
+def _all_splits(code):
+    """std(A|K) for every label mask K of a code of at most 255 blocks, in
+    increasing order of K.
+
+    The tables of the low ``MAX_PARTS`` labels are applied after each split of
+    the higher labels, whose tables are built one at a time: tables in memory
+    stay bounded by 2^MAX_PARTS, however many blocks."""
+    labels = _blocks(code)
+    low = min(labels, MAX_PARTS)
+    highs = range((1 << low) - 1, 1 << labels, 1 << low)  # every low label kept
+    parts = (
+        (code.translate(*_split_table(labels, high)) for high in highs) if labels > low else (code,)
+    )
+    tables = _TABLES[: 1 << low]
+    return [part.translate(*table) for part in parts for table in tables]
+
+
 def coproduct(x):
     """Sum of standardized block splits over ordered disjoint index unions.
 
     A basis partition with r blocks contributes 2^r terms, one per ordered
     pair (K, L) with K and L disjoint and covering {1..r}, including the
-    empty sides.  Each term is encoded once and its splits taken as byte
-    translates (see ``_all_splits``); equal (head, tail) code pairs are
-    summed in one dict before any decoding, and each distinct code is
-    decoded once.  Terms of more than 255 blocks are refused, so that every
-    label and block count fits a byte.
+    empty sides.  Each term's splits are taken as byte translates of its code
+    (see ``_all_splits``), and equal (head, tail) code pairs are summed in one
+    dict.  Terms of more than 255 blocks are refused, so that every label and
+    block count fits a byte.
     """
-    widest = max((part.length for part in x._terms), default=0)
+    widest = max(map(_blocks, x._terms), default=0)
     if widest > 255:
         raise ValueError(f"partition has {widest} blocks; the coproduct supports at most 255")
-    tables = _split_tables(min(widest, MAX_PARTS))
     splits = {}
-    for part, coeff in x._terms.items():
-        heads = _all_splits(_encode(part), part.length, tables)
+    for code, coeff in x._terms.items():
+        heads = _all_splits(code)
         # The tail of label mask K is the head of its complement, which runs
         # down as K runs up.
         for pair in zip(heads, reversed(heads)):
             splits[pair] = splits.get(pair, 0) + coeff
-    decoded = {code: _decode(code) for code in set(itertools.chain.from_iterable(splits))}
-    return TensorElement._combine(
-        ((decoded[head], decoded[tail]), c) for (head, tail), c in splits.items()
-    )
+    return TensorElement._wrap(splits)
 
 
 def counit(x):
     """Coefficient of the empty partition."""
-    return x.coefficient(EMPTY_PARTITION)
+    return x._terms.get(b"", 0)
 
 
 def _require_standard(part, what):
@@ -319,42 +441,21 @@ def antipode_direct_terms(part):
 
 
 def antipode_direct(part):
-    """Antipode of a basis partition by the full signed composition sum."""
-    return NCSymElement._combine((p, sign) for sign, p in antipode_direct_terms(part))
+    """Antipode of a basis partition by the full signed composition sum,
+    evaluated on partitions, independently of the code kernel it referees."""
+    return NCSymElement._combine((_encode(p), sign) for sign, p in antipode_direct_terms(part))
 
 
-def _encode(part):
-    """Restricted growth string of a standard partition: byte i is the index,
-    in block-minima order, of the block holding i + 1."""
-    code = bytearray(part.weight)
-    for label, block in enumerate(part.blocks):
-        for e in block:
-            code[e - 1] = label
-    return bytes(code)
-
-
-def _decode(code):
-    """Standard partition of a restricted growth string."""
-    blocks = [[] for _ in range(max(code, default=-1) + 1)]
-    for i, label in enumerate(code, 1):
-        blocks[label].append(i)
-    return SetPartition._of(tuple(map(tuple, blocks)))
-
-
-# _SHIFT[k] adds k to every label byte, _UNSHIFT[k] subtracts it.  Kernel
-# labels stay below MAX_PARTS, so no sum wraps past 255.
-_SHIFT = [bytes(range(k, 256)) + bytes(range(k)) for k in range(MAX_PARTS + 1)]
-_UNSHIFT = [bytes(range(256 - k, 256)) + bytes(range(256 - k)) for k in range(MAX_PARTS)]
-
-
-def _code_atoms(code, labels):
-    """Atoms of a restricted growth string with ``labels`` blocks, each
-    relabelled from 0: a cut falls before the first use of a label when no
-    earlier label is used again after it."""
+def _code_atoms(code):
+    """Atoms of a nonempty code, each relabelled from 0: a cut falls before
+    the first use of a label when no earlier label is used again after it.
+    A tuple code is cut by ``SetPartition.atoms``."""
+    if isinstance(code, tuple):
+        return [_encode(atom) for atom in _decode(code).atoms()]
     pieces = []
     start = base = 0
     reach = code.rfind(0)
-    for label in range(1, labels):
+    for label in range(1, max(code) + 1):
         first = code.find(label)
         if first > reach:
             pieces.append(code[start:first].translate(_UNSHIFT[base]))
@@ -364,85 +465,49 @@ def _code_atoms(code, labels):
     return pieces
 
 
-def _split_tables(labels):
-    """Per label mask K below 2^labels: the table that ranks K's labels and
-    the bytes of the labels outside K, so that ``code.translate(*tables[K])``
-    is std(A|K) for any code with at most ``labels`` labels.  A label past
-    ``labels`` is shifted down to follow K's labels, so a code whose higher
-    labels were already split (``_all_splits``) keeps them in order."""
-    identity = _SHIFT[0]
-    ranks, drops = [b""], [b""]
-    for label in range(labels):
-        # A label's rank under mask K is the number of K's labels below it.
-        ranks = [
-            r + identity[label - len(d) : label - len(d) + 1] for r, d in zip(ranks, drops)
-        ] * 2
-        drops = [d + identity[label : label + 1] for d in drops] + drops
-    return [(r + identity[labels - len(d) : 256 - len(d)], d) for r, d in zip(ranks, drops)]
-
-
-def _split_table(labels, mask):
-    """The translate arguments that keep the labels in ``mask``, ranked, and
-    delete the others: one table, built alone."""
-    kept = bytes(label for label in range(labels) if mask >> label & 1)
-    drop = bytes(label for label in range(labels) if not mask >> label & 1)
-    return bytes.maketrans(kept, bytes(range(len(kept)))), drop
-
-
-def _all_splits(code, labels, tables):
-    """std(A|K) for every label mask K below 2^labels, in increasing order,
-    given ``_split_tables(min(labels, MAX_PARTS))`` or a larger such set.
-
-    The tables of the low ``MAX_PARTS`` labels are applied after each split of
-    the higher labels, whose tables are built one at a time: tables in memory
-    stay bounded by 2^MAX_PARTS, however many blocks."""
-    low = min(labels, MAX_PARTS)
-    highs = range((1 << low) - 1, 1 << labels, 1 << low)  # every low label kept
-    parts = (
-        (code.translate(*_split_table(labels, high)) for high in highs) if labels > low else (code,)
-    )
-    tables = tables[: 1 << low]
-    return [part.translate(*table) for part in parts for table in tables]
-
-
-def _kernel(widest):
-    """The default route's antipode on restricted growth strings of at most
-    ``widest`` labels, memoized for one call.
+def _kernel():
+    """The default route's antipode on codes whose atoms have at most
+    ``MAX_PARTS`` labels, memoized for one call.
 
     Returns ``antipode_of(code)``, a dict of codes to coefficients, and
     ``first_part_sum(code, anchored, sign)``: sign times the sum over the
     nonempty label sets K of std(A|K) * S(std(A|rest)), K running over the
     sets holding label 0 only when ``anchored``.  Equal (head, tail) splits are
     combined first; a product is ``head + q`` with q's labels shifted up.
+    Callers may keep the dicts returned, but not change them.
     """
     memo = {b"": {b"": 1}}
-    tables = _split_tables(widest)
 
     def first_part_sum(code, anchored, sign):
-        subs = [code.translate(*tables[mask]) for mask in range(1 << (max(code) + 1))]
+        subs = [code.translate(*table) for table in _TABLES[: 1 << (max(code) + 1)]]
         # (std(A|K), std(A|rest)) for each K: the mask of rest is the
         # all-labels mask minus K, which runs down as K runs up; the masks
         # holding label 0 are the odd ones.
         step = 2 if anchored else 1
-        splits = collections.Counter(zip(subs[1::step], subs[-2::-step]))
-        return _summed(
-            (head + q.translate(_SHIFT[max(head) + 1]), sign * coeff * c)
-            for (head, tail), coeff in splits.items()
-            for q, c in antipode_of(tail).items()
-        )
+        out = {}
+        for (head, tail), coeff in collections.Counter(zip(subs[1::step], subs[-2::-step])).items():
+            shift = _SHIFT[max(head) + 1]
+            coeff *= sign
+            # A memo hit skips the call: no antipode is empty.
+            for q, c in (memo.get(tail) or antipode_of(tail)).items():
+                key = head + q.translate(shift)
+                out[key] = out.get(key, 0) + coeff * c
+        return _nonzero(out)
 
     def antipode_of(code):
         got = memo.get(code)
         if got is not None:
             return got
-        pieces = _code_atoms(code, max(code) + 1)
+        pieces = _code_atoms(code)
         if len(pieces) == 1:
             got = first_part_sum(code, False, -1)
         else:
-            got = {b"": 1}
-            for piece in pieces:
+            # S(A_t)...S(A_1): each atom's antipode is homogeneous, so no
+            # two products of a factor's terms coincide.
+            got = antipode_of(pieces[0])
+            for piece in pieces[1:]:
                 got = {
-                    x + y.translate(_SHIFT[max(x) + 1]): cx * cy
+                    _concat(x, y): cx * cy
                     for x, cx in antipode_of(piece).items()
                     for y, cy in got.items()
                 }
@@ -463,54 +528,58 @@ def antipode_factored(part):
     atom, memoized for this call only, so an atom of r blocks costs at most
     3^r head/tail pairs and a many-atom input the sum of its atoms' costs.
 
-    The per-atom recursion runs on restricted growth strings held as
-    ``bytes`` (see ``_encode``), which are canonical by construction: a
-    head or tail is one ``bytes.translate`` that ranks the kept labels and
-    deletes the other positions, a product is ``head + q`` with q's labels
-    shifted up, and no partition is sorted or checked inside.  Labels stay
-    below ``MAX_PARTS`` whatever the weight, because inputs with an atom of
-    more than ``MAX_PARTS`` blocks are refused before any work; each atom's
-    result is decoded to partitions once.  Nonempty input required (the
-    element-level wrapper covers the unit).
+    The whole route runs on codes (see ``_encode``), which are canonical by
+    construction: a head or tail is one ``bytes.translate`` that ranks the
+    kept labels and deletes the other positions, a product is ``head + q``
+    with q's labels shifted up, and no partition is built, sorted or checked
+    inside.  Labels stay below ``MAX_PARTS`` inside each atom's recursion
+    whatever the weight, because inputs with an atom of more than
+    ``MAX_PARTS`` blocks are refused before any work; the product over the
+    atoms is ``_concat``, which keys past 255 blocks by a tuple.  Nonempty
+    input required (the element-level wrapper covers the unit).
     """
     _require_standard(part, "antipode")
     if part.weight == 0:
         raise ValueError("use the element-level antipode for the empty partition")
-    atoms = part.atoms()
-    widest = max(atom.length for atom in atoms)
+    code = _encode(part)
+    widest = max(map(_blocks, _code_atoms(code)))
     if widest > MAX_PARTS:
         raise ValueError(
             f"partition has an atom of {widest} blocks; "
             f"the factored antipode supports atoms of at most {MAX_PARTS}"
         )
-    antipode_of, _ = _kernel(widest)
-    factors = (
-        NCSymElement._combine((_decode(q), c) for q, c in antipode_of(_encode(atom)).items())
-        for atom in reversed(atoms)
-    )
-    return functools.reduce(operator.mul, factors)
+    antipode_of, _ = _kernel()
+    return NCSymElement._wrap(antipode_of(code))
 
 
 @functools.cache
+def _oracle_codes(code):
+    """Graded-connected recursion on codes, memoized for the process: the
+    dicts it returns are shared and must not be changed."""
+    if not code:
+        return {b"": 1}
+    pairs = [(code, -1)]
+    for (left, right), coeff in coproduct(NCSymElement._wrap({code: 1}))._terms.items():
+        if left and right:
+            pairs += [(_concat(q, right), -coeff * c) for q, c in _oracle_codes(left).items()]
+    return _summed(pairs)
+
+
 def antipode_oracle(part):
     """Graded-connected recursion for the antipode, memoized.
 
     S(empty) = empty; otherwise S(A) = -A - sum of S(A') * A'' over the
     coproduct terms with both sides nonempty.  Independent of the
-    composition-sum formulas, so it can referee them.  The memo table only
-    ever inserts, so concurrent duplicated computation is harmless.
+    composition-sum formulas, so it can referee them.  The memo table, keyed
+    by codes, only ever inserts, so concurrent duplicated computation is
+    harmless; ``antipode_oracle.cache_info()`` reports it.
     """
     _require_standard(part, "antipode")
-    if part.weight == 0:
-        return NCSymElement.unit()
-    pairs = [(part, -1)]
-    for (left, right), coeff in coproduct(NCSymElement.from_partition(part))._terms.items():
-        if left.weight and right.weight:
-            pairs += [
-                (q._concat(right), -coeff * c) for q, c in antipode_oracle(left)._terms.items()
-            ]
-    return NCSymElement._combine(pairs)
+    return NCSymElement._combine(_oracle_codes(_encode(part)).items())
 
+
+antipode_oracle.cache_info = _oracle_codes.cache_info
+antipode_oracle.cache_clear = _oracle_codes.cache_clear
 
 _ANTIPODE_METHODS = {
     "direct": antipode_direct,
@@ -525,10 +594,12 @@ def antipode(x, method="factored"):
         on_partition = _ANTIPODE_METHODS[method]
     except KeyError:
         raise ValueError(f"unknown antipode method {method!r}") from None
+    # Each route takes a partition, so a nonempty term is decoded once here
+    # and encoded once inside the route; its result stays in codes.
     return NCSymElement._combine(
         (q, coeff * c)
-        for part, coeff in x._terms.items()
-        for q, c in (on_partition(part) if part.weight else NCSymElement.unit())._terms.items()
+        for code, coeff in x._terms.items()
+        for q, c in (on_partition(_decode(code))._terms if code else {b"": 1}).items()
     )
 
 
@@ -546,17 +617,15 @@ def primitive(part):
     std(A|K) * S(std(A|rest)), with S the antipode and S(empty) = 1: split
     each anchored composition into its first part K and a composition of the
     rest, whose signed sum is S(std(A|rest)).  Runs on the default route's
-    byte-string kernel and its per-call memo: 2^(r-1) head/tail pairs for r
-    blocks, against Fubini(r-1)-sized sums for the anchored compositions.
+    code kernel and its per-call memo: 2^(r-1) head/tail pairs for r blocks,
+    against Fubini(r-1)-sized sums for the anchored compositions.
 
     Nonzero (and primitive) exactly when the input is atomic; zero for every
     other nonempty standard partition.  Undefined on the empty partition.
     """
     _require_primitive_input(part)
-    _, first_part_sum = _kernel(part.length)
-    return NCSymElement._combine(
-        (_decode(q), c) for q, c in first_part_sum(_encode(part), True, 1).items()
-    )
+    _, first_part_sum = _kernel()
+    return NCSymElement._wrap(first_part_sum(_encode(part), True, 1))
 
 
 def _primitive_anchored(part):
@@ -564,7 +633,7 @@ def _primitive_anchored(part):
     1: the referee of the first-part route in ``verify`` and the tests."""
     _require_primitive_input(part)
     return NCSymElement._combine(
-        (gamma.evaluate(part), 1 if gamma.length % 2 else -1)
+        (_encode(gamma.evaluate(part)), 1 if gamma.length % 2 else -1)
         for gamma in anchored_compositions(part.length)
     )
 
@@ -574,9 +643,8 @@ def reduced_coproduct(x):
     if counit(x) != 0:
         raise ValueError("reduced coproduct needs counit zero")
     extra = []
-    for part, coeff in x.items():
-        extra.append(((part, EMPTY_PARTITION), -coeff))
-        extra.append(((EMPTY_PARTITION, part), -coeff))
+    for code, coeff in x._terms.items():
+        extra += [((code, b""), -coeff), ((b"", code), -coeff)]
     return coproduct(x) + TensorElement._combine(extra)
 
 
@@ -585,7 +653,7 @@ def convolve(left_map, right_map, part):
     elements."""
     return NCSymElement._combine(
         (key, coeff * c)
-        for (p, q), coeff in coproduct(NCSymElement.from_partition(part))._terms.items()
+        for (p, q), coeff in coproduct(NCSymElement.from_partition(part))._decoded()
         for key, c in (left_map(p) * right_map(q))._terms.items()
     )
 
@@ -609,8 +677,7 @@ def leading_term(x):
     order."""
     if x.is_zero():
         raise ValueError("the zero element has no leading term")
-    part = min(x.support(), key=partition_key)
-    return part, x.coefficient(part)
+    return min(x._decoded(), key=lambda term: partition_key(term[0]))
 
 
 def _expand_bracket(tree):
@@ -674,7 +741,7 @@ def primitive_space_dimension(n):
     for part in basis:
         row = {}
         reduced = reduced_coproduct(NCSymElement.from_partition(part))
-        for pair, coeff in reduced.items():
+        for pair, coeff in reduced._terms.items():
             col = columns.setdefault(pair, len(columns))
             row[col] = coeff
         sparse_rows.append(row)
@@ -692,23 +759,23 @@ def hall_span_check(n):
     for element in elements:
         if reduced_coproduct(element):
             return False
-    index = {part: i for i, part in enumerate(set_partitions(n))}
+    index = {_encode(part): i for i, part in enumerate(set_partitions(n))}
     matrix = []
     for element in elements:
         row = [0] * len(index)
-        for part, coeff in element.items():
-            if part.weight != n:
+        for code, coeff in element._terms.items():
+            if len(code) != n:
                 return False
-            row[index[part]] = coeff
+            row[index[code]] = coeff
         matrix.append(row)
     return integer_rank(matrix) == len(elements) == primitive_space_dimension(n)
 
 
 def _signed(x, order, body):
-    """Sign-joined text of the terms of ``x`` sorted by ``order`` on keys:
-    the first sign bare, the others spaced, a magnitude of 1 left out."""
+    """Sign-joined text of the terms of ``x`` sorted by ``order`` on decoded
+    keys: the first sign bare, the others spaced, a magnitude of 1 left out."""
     pieces = []
-    for key, coeff in sorted(x._terms.items(), key=lambda kc: order(kc[0])):
+    for key, coeff in sorted(x._decoded(), key=lambda kc: order(kc[0])):
         magnitude = abs(coeff)
         text = body(key) if magnitude == 1 else f"{magnitude}{body(key)}"
         if pieces:
@@ -722,7 +789,7 @@ def format_element(x):
     """Text form: terms in atom order, sign-joined; a lone +1 term prints as
     the bare partition."""
     if list(x._terms.values()) == [1]:
-        return _label(next(iter(x._terms)))
+        return _label(_decode(next(iter(x._terms))))
     return _signed(x, partition_key, lambda part: f"({_label(part)})")
 
 

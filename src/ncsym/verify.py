@@ -9,7 +9,8 @@ against recurrence oracles.
 
 Partition sweeps are exhaustive through weight 5 and fall back to seeded
 random samples above that, so reports are reproducible byte for byte for a
-fixed seed.
+fixed seed.  ``run_checks`` enumerates each weight's partitions once and
+hands the lists to every check it runs.
 """
 
 from __future__ import annotations
@@ -108,18 +109,18 @@ def growth_string_count(n):
     return count(0, -1)
 
 
-def _partition_pool(max_weight, rng):
+def _partition_pool(max_weight, rng, partitions):
     pool = []
     for n in range(0, min(max_weight, EXHAUSTIVE_CAP) + 1):
-        pool.extend(setparts.set_partitions(n))
+        pool.extend(partitions(n))
     for n in range(EXHAUSTIVE_CAP + 1, max_weight + 1):
-        everything = list(setparts.set_partitions(n))
+        everything = partitions(n)
         pool.extend(rng.sample(everything, min(SAMPLE_PARTITIONS, len(everything))))
     return pool
 
 
-def _pair_pool(max_weight, rng):
-    by_weight = {n: list(setparts.set_partitions(n)) for n in range(0, max_weight + 1)}
+def _pair_pool(max_weight, rng, partitions):
+    by_weight = {n: partitions(n) for n in range(0, max_weight + 1)}
     pairs = []
     cap = min(max_weight, EXHAUSTIVE_CAP)
     for total in range(0, cap + 1):
@@ -138,12 +139,12 @@ def _pair_pool(max_weight, rng):
     return pairs
 
 
-def check_cardinalities(max_weight, rng):
+def check_cardinalities(max_weight, rng, partitions):
     res = CheckResult("cardinalities")
     bells = bell_numbers(8)
     for n in range(0, 9):
         res.tally(
-            sum(1 for _ in setparts.set_partitions(n)) == bells[n],
+            len(partitions(n)) == bells[n],
             f"partition count n={n}",
         )
         res.tally(growth_string_count(n) == bells[n], f"growth-string count n={n}")
@@ -155,14 +156,14 @@ def check_cardinalities(max_weight, rng):
         )
     for n in range(1, 7):
         direct = list(setparts.atomic_set_partitions(n))
-        filtered = [p for p in setparts.set_partitions(n) if p.is_atomic()]
+        filtered = [p for p in partitions(n) if p.is_atomic()]
         res.tally(direct == filtered, f"atomic enumeration n={n}")
     return res
 
 
-def check_combinatorics(max_weight, rng):
+def check_combinatorics(max_weight, rng, partitions):
     res = CheckResult("combinatorics")
-    for part in _partition_pool(max_weight, rng):
+    for part in _partition_pool(max_weight, rng, partitions):
         res.tally(SetPartition.parse(part.format()) == part, f"roundtrip {part!r}")
         res.tally(
             SetPartition.parse(part.format("extended")) == part,
@@ -216,9 +217,9 @@ def check_combinatorics(max_weight, rng):
     return res
 
 
-def check_coassociativity(max_weight, rng):
+def check_coassociativity(max_weight, rng, partitions):
     res = CheckResult("coassociativity")
-    for part in _partition_pool(max_weight, rng):
+    for part in _partition_pool(max_weight, rng, partitions):
         delta = hopf.coproduct(NCSymElement.from_partition(part))
         first = {}
         second = {}
@@ -235,9 +236,9 @@ def check_coassociativity(max_weight, rng):
     return res
 
 
-def check_counit_laws(max_weight, rng):
+def check_counit_laws(max_weight, rng, partitions):
     res = CheckResult("counit-laws")
-    for part in _partition_pool(max_weight, rng):
+    for part in _partition_pool(max_weight, rng, partitions):
         x = NCSymElement.from_partition(part)
         delta = hopf.coproduct(x)
         left = NCSymElement((q, c) for (p, q), c in delta.items() if p.weight == 0)
@@ -247,17 +248,17 @@ def check_counit_laws(max_weight, rng):
     return res
 
 
-def check_cocommutativity(max_weight, rng):
+def check_cocommutativity(max_weight, rng, partitions):
     res = CheckResult("cocommutativity")
-    for part in _partition_pool(max_weight, rng):
+    for part in _partition_pool(max_weight, rng, partitions):
         delta = hopf.coproduct(NCSymElement.from_partition(part))
         res.tally(delta.twist() == delta, f"cocommutativity {part!r}")
     return res
 
 
-def check_bialgebra(max_weight, rng):
+def check_bialgebra(max_weight, rng, partitions):
     res = CheckResult("bialgebra")
-    for left, right in _pair_pool(max_weight, rng):
+    for left, right in _pair_pool(max_weight, rng, partitions):
         x = NCSymElement.from_partition(left)
         y = NCSymElement.from_partition(right)
         res.tally(
@@ -267,11 +268,11 @@ def check_bialgebra(max_weight, rng):
     return res
 
 
-def check_antipode_convolution(max_weight, rng):
+def check_antipode_convolution(max_weight, rng, partitions):
     res = CheckResult("antipode-convolution")
     S = functools.cache(lambda part: hopf.antipode(NCSymElement.from_partition(part)))
     identity = NCSymElement.from_partition
-    for part in _partition_pool(max_weight, rng):
+    for part in _partition_pool(max_weight, rng, partitions):
         expected = NCSymElement.unit() if part.weight == 0 else NCSymElement.zero()
         res.tally(
             hopf.convolve(S, identity, part) == expected, f"left inverse {part!r}"
@@ -282,9 +283,9 @@ def check_antipode_convolution(max_weight, rng):
     return res
 
 
-def check_antipode_methods(max_weight, rng):
+def check_antipode_methods(max_weight, rng, partitions):
     res = CheckResult("antipode-methods")
-    for part in _partition_pool(max_weight, rng):
+    for part in _partition_pool(max_weight, rng, partitions):
         x = NCSymElement.from_partition(part)
         direct = hopf.antipode(x, "direct")
         factored = hopf.antipode(x, "factored")
@@ -293,10 +294,10 @@ def check_antipode_methods(max_weight, rng):
     return res
 
 
-def check_antipode_antimorphism(max_weight, rng):
+def check_antipode_antimorphism(max_weight, rng, partitions):
     res = CheckResult("antipode-antimorphism")
     S = functools.cache(lambda part: hopf.antipode(NCSymElement.from_partition(part)))
-    for left, right in _pair_pool(max_weight, rng):
+    for left, right in _pair_pool(max_weight, rng, partitions):
         x = NCSymElement.from_partition(left)
         y = NCSymElement.from_partition(right)
         res.tally(
@@ -306,17 +307,17 @@ def check_antipode_antimorphism(max_weight, rng):
     return res
 
 
-def check_antipode_involution(max_weight, rng):
+def check_antipode_involution(max_weight, rng, partitions):
     res = CheckResult("antipode-involution")
-    for part in _partition_pool(max_weight, rng):
+    for part in _partition_pool(max_weight, rng, partitions):
         x = NCSymElement.from_partition(part)
         res.tally(hopf.antipode(hopf.antipode(x)) == x, f"involution {part!r}")
     return res
 
 
-def check_grading(max_weight, rng):
+def check_grading(max_weight, rng, partitions):
     res = CheckResult("grading")
-    for part in _partition_pool(max_weight, rng):
+    for part in _partition_pool(max_weight, rng, partitions):
         x = NCSymElement.from_partition(part)
         delta = hopf.coproduct(x)
         res.tally(
@@ -334,7 +335,7 @@ def check_grading(max_weight, rng):
                 p.is_zero() or (p.is_homogeneous() and p.weights() == [part.weight]),
                 f"primitive grading {part!r}",
             )
-    for left, right in _pair_pool(max_weight, rng):
+    for left, right in _pair_pool(max_weight, rng, partitions):
         x = NCSymElement.from_partition(left) * NCSymElement.from_partition(right)
         res.tally(
             x.weights() == [left.weight + right.weight],
@@ -343,9 +344,9 @@ def check_grading(max_weight, rng):
     return res
 
 
-def check_primitives(max_weight, rng):
+def check_primitives(max_weight, rng, partitions):
     res = CheckResult("primitives")
-    for part in _partition_pool(max_weight, rng):
+    for part in _partition_pool(max_weight, rng, partitions):
         if part.weight == 0:
             continue
         p = hopf.primitive(part)
@@ -360,7 +361,7 @@ def check_primitives(max_weight, rng):
     return res
 
 
-def check_restriction_sum(max_weight, rng):
+def check_restriction_sum(max_weight, rng, partitions):
     res = CheckResult("restriction-sum")
     for r in range(2, min(max_weight, EXHAUSTIVE_CAP) + 1):
         base = frozenset(range(1, r + 1))
@@ -375,7 +376,7 @@ def check_restriction_sum(max_weight, rng):
     return res
 
 
-def check_quasi_shuffle(max_weight, rng):
+def check_quasi_shuffle(max_weight, rng, partitions):
     res = CheckResult("quasi-shuffle")
     for k in range(0, 5):
         for l in range(0, 5):
@@ -423,10 +424,10 @@ def check_quasi_shuffle(max_weight, rng):
     return res
 
 
-def check_unitriangular(max_weight, rng):
+def check_unitriangular(max_weight, rng, partitions):
     res = CheckResult("unitriangular")
     for n in range(1, min(max_weight, 6) + 1):
-        basis = sorted(setparts.set_partitions(n), key=hopf.partition_key)
+        basis = sorted(partitions(n), key=hopf.partition_key)
         index = {part: i for i, part in enumerate(basis)}
         for i, part in enumerate(basis):
             combo = NCSymElement.unit()
@@ -440,7 +441,7 @@ def check_unitriangular(max_weight, rng):
     return res
 
 
-def check_hall_span(max_weight, rng):
+def check_hall_span(max_weight, rng, partitions):
     res = CheckResult("hall-span")
     for n in range(1, min(max_weight, 6) + 1):
         dim = hopf.primitive_space_dimension(n)
@@ -486,8 +487,11 @@ def run_checks(max_weight=4, names=None, seed=0):
         for name in selected:
             if name not in table:
                 raise ValueError(f"unknown check {name!r}")
+    # Each weight's partitions, enumerated once for all the checks of the run;
+    # no check changes the lists.
+    partitions = functools.cache(lambda n: list(setparts.set_partitions(n)))
     results = []
     for name in selected:
         rng = random.Random(seed)
-        results.append(table[name](max_weight, rng))
+        results.append(table[name](max_weight, rng, partitions))
     return results

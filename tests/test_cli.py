@@ -138,6 +138,26 @@ class TestEnumerateBound:
         assert (code, out, err) == (2, "", "error: size must be a nonnegative integer, got -1\n")
 
 
+class TestCoproductBound:
+    def test_twenty_blocks_refused_without_splitting(self, capsys, monkeypatch):
+        def no_splits(x):
+            raise AssertionError("the splits ran")
+
+        monkeypatch.setattr(hopf, "coproduct", no_splits)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "coproduct", ".".join(map(str, range(1, 21))) + ",")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: coproduct of 20 blocks: predicted 2^20 = 1048576 splits "
+            f"(limit {ENUMERATE_LIMIT})\n"
+        )
+
+    def test_under_the_limit_still_prints(self, capsys):
+        code, out, _ = run_cli(capsys, "coproduct", "1.2.3.4.5.6.7.8.9", "--format", "json")
+        assert code == 0 and len(json.loads(out)["terms"]) == 10
+
+
 class TestParserBuiltOnce:
     def test_later_calls_build_no_parser(self, monkeypatch):
         built = []

@@ -30,7 +30,7 @@ from ncsym import (
     reduced_coproduct,
     set_partitions,
 )
-from ncsym.hopf import _decode, _encode, _primitive_anchored
+from ncsym.hopf import _ANTIPODE_METHODS, _decode, _encode, _primitive_anchored
 
 P = SetPartition.parse
 E = NCSymElement.from_partition
@@ -77,6 +77,100 @@ class TestElement:
         assert element(("12", 1), ("1.2", 4)).is_homogeneous()
         assert not element(("1", 1), ("12", 1)).is_homogeneous()
         assert NCSymElement.zero().is_homogeneous()
+
+
+def singletons(n):
+    return SetPartition([(i,) for i in range(1, n + 1)])
+
+
+class TestCodeKeys:
+    """Elements are keyed by restricted growth strings inside; partitions are
+    made only where they leave."""
+
+    def test_round_trip_past_255_blocks(self):
+        for n in (255, 256, 300):
+            part = singletons(n)
+            code = _encode(part)
+            assert isinstance(code, bytes if n <= 255 else tuple)
+            assert list(code) == list(range(n)) and _decode(code) == part
+        mixed = SetPartition([(1, 301)] + [(i,) for i in range(2, 301)])
+        code = _encode(mixed)
+        assert isinstance(code, tuple) and code[0] == code[-1] == 0
+        assert _decode(code) == mixed
+
+    def test_constructed_and_computed_elements_agree(self):
+        computed = [
+            antipode(E(P("13.2.4"))),
+            primitive(P("13.2")),
+            E(P("12")) * E(P("1")),
+            E(singletons(200)) * E(singletons(100)),
+        ]
+        for x in computed:
+            built = NCSymElement(x.items())
+            assert x == built and hash(x) == hash(built)
+        t = coproduct(E(P("13.2.4")))
+        built = TensorElement(t.items())
+        assert t == built and hash(t) == hash(built)
+
+    def test_items_support_and_coefficient(self):
+        s = antipode_factored(P("13.2.4"))
+        want = [(P("1.23.4"), -1), (P("1.24.3"), 1), (P("1.2.34"), -1)]  # extended-form order
+        assert s.items() == want
+        assert s.support() == [part for part, _ in want]
+        assert all(type(part) is SetPartition for part in s.support())
+        for part, coeff in want:
+            assert s.coefficient(part) == coeff
+        assert s.coefficient(P("1.2.3.4")) == 0
+        assert s.coefficient(P("2.3")) == 0  # not standard
+        assert s.coefficient("1.24.3") == 0
+        assert NCSymElement.unit().coefficient(EMPTY_PARTITION) == 1
+        assert NCSymElement.unit().coefficient(b"") == 0
+        with pytest.raises(TypeError):
+            s.coefficient([1])
+        t = coproduct(E(P("1")))
+        assert t.items() == [((EMPTY_PARTITION, P("1")), 1), ((P("1"), EMPTY_PARTITION), 1)]
+        assert t.coefficient((P("1"), EMPTY_PARTITION)) == 1
+        assert t.coefficient((P("2"), EMPTY_PARTITION)) == 0
+        assert t.coefficient((bytes((0,)), b"")) == 0
+        assert t.coefficient(P("1")) == 0
+
+    def test_product_is_associative_across_255_blocks(self):
+        for na, nb, nc in ((250, 4, 3), (254, 1, 3), (1, 254, 1), (100, 100, 100)):
+            a = E(singletons(na)) - 2 * E(P("1"))
+            b = E(P("13.2")) + 3 * E(singletons(nb))
+            c = E(singletons(nc))
+            assert (a * b) * c == a * (b * c)
+        a, b, c = singletons(250), singletons(4), P("13.2")
+        assert E(a) * E(b) * E(c) == E(a.concat(b).concat(c))
+
+    def test_arithmetic_and_text_on_300_singletons(self):
+        part = singletons(300)
+        x = E(part)
+        assert str(x) == part.format()
+        assert (x + x).items() == [(part, 2)] and x - x == NCSymElement.zero()
+        assert x * E(P("1")) == E(singletons(301)) == E(P("1")) * x
+        assert antipode(x) == x and antipode(x * E(P("1"))) == -E(singletons(301))
+        assert antipode(x * E(P("13.2"))) == antipode(E(P("13.2"))) * x
+        assert str(-x) == f"-({part.format()})"
+
+    def test_no_output_partition_built_before_items(self, monkeypatch):
+        multi_atom, nine_blocks = E(P("13.2.4.57.6")), E(P("1.2.3.4.5.6.7.8.9"))
+        built = []
+        trusted = SetPartition._of.__func__
+
+        def counted(cls, groups):
+            built.append(groups)
+            return trusted(cls, groups)
+
+        monkeypatch.setattr(SetPartition, "_of", classmethod(counted))
+        s, t = antipode(multi_atom), coproduct(nine_blocks)
+        assert len(s._terms) == 9 and len(t._terms) == 10
+        # The route is handed its one input term as a partition; no atom and
+        # no output term is built.
+        assert built == [P("13.2.4.57.6").blocks]
+        s.items()
+        t.items()
+        assert len(built) == 1 + 9 + 10
 
 
 class TestProduct:
@@ -229,6 +323,32 @@ class TestAntipode:
     def test_oracle_small_values(self):
         assert antipode_oracle(P("1")) == element(("1", -1))
         assert antipode_oracle(P("12.3")) == element(("1.23", 1))
+
+    def test_oracle_cache_clears(self):
+        antipode_oracle(P("12.3"))
+        antipode_oracle.cache_clear()
+        assert antipode_oracle.cache_info().currsize == 0
+        assert antipode_oracle(P("12.3")) == element(("1.23", 1))
+
+    def test_methods_run_through_the_public_routes(self, monkeypatch):
+        # Rebinding a route in the table, as a span tracer does, reaches
+        # every element-level call of its method.
+        assert _ANTIPODE_METHODS == {
+            "direct": antipode_direct,
+            "factored": antipode_factored,
+            "oracle": antipode_oracle,
+        }
+        x = E(P("13.2")) + E(P("1"))
+        expected = antipode(x)
+        seen = []
+        for name, route in list(_ANTIPODE_METHODS.items()):
+            monkeypatch.setitem(
+                _ANTIPODE_METHODS, name, lambda part, r=route: seen.append(part) or r(part)
+            )
+        for method in ("direct", "factored", "oracle"):
+            seen.clear()
+            assert antipode(x, method) == expected
+            assert sorted(p.format() for p in seen) == ["1", "13.2"]
 
     def test_methods_agree_through_weight_four(self):
         for n in range(0, 5):
