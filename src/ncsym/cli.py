@@ -41,6 +41,26 @@ _STREAMS = {
 }
 
 
+def _atomic_count(n):
+    # A partition is its first atom times the rest: Bell(m) = sum a(k) Bell(m - k).
+    bell, atomic = verify.bell_numbers(n), [0]
+    for m in range(1, n + 1):
+        atomic.append(bell[m] - sum(atomic[k] * bell[m - k] for k in range(1, m)))
+    return atomic[n]
+
+
+# The exact size of each stream, for ``enumerate --count``.  An anchored
+# composition is the part holding 1, with j of the n - 1 others, then a
+# composition of the rest: sum_j C(n-1, j) Fubini(n-1-j), which the first-part
+# recurrence of Fubini(n - 1) makes 2 Fubini(n - 1) once n >= 2.
+_COUNTS = {
+    "partitions": lambda n: verify.bell_numbers(n)[n],
+    "atomic": _atomic_count,
+    "compositions": lambda n: verify.fubini_numbers(n)[n],
+    "anchored": lambda n: min(n, 2) * verify.fubini_numbers(n)[n - 1],
+}
+
+
 def _emit(value, fmt):
     """Print an element, a tensor or a partition in the chosen encoding."""
     if fmt != "json":
@@ -163,13 +183,11 @@ def _check_enumerable(kind, n):
 
 def _cmd_enumerate(args):
     _check_enumerable(args.kind, args.size)
-    stream = _STREAMS[args.kind](args.size)
     if not args.count:
-        _emit_all(stream, args.fmt)
-    elif args.fmt == "json":
-        print(json.dumps({"count": sum(1 for _ in stream)}))
-    else:
-        print(sum(1 for _ in stream))
+        _emit_all(_STREAMS[args.kind](args.size), args.fmt)
+        return
+    count = _COUNTS[args.kind](setparts._checked_size(args.size))
+    print(json.dumps({"count": count}) if args.fmt == "json" else count)
 
 
 def _cmd_verify(args):

@@ -21,6 +21,17 @@ first part moved onto it.  So ``primitive`` runs on the default antipode
 route's kernel, and the anchored sum itself (``_primitive_anchored``)
 referees it in ``verify`` and the tests.
 
+The antipode also has a cancellation-free formula, checked in the tests but
+not a route (it measured slower than the default one): S(p_A) = sum of
+(-1)^k p_{std(A|K_1)|...|std(A|K_k)} over the set compositions (K_1, ...,
+K_k) of the block indices with every std(A|K_i) atomic and each part's
+largest element above the next part's smallest.  Proof: on all set
+compositions, whose signed sum is S, go to the first i where part i is not
+atomic (split off its first atom) or is atomic and lies wholly before part
+i + 1 (merge the two).  That keeps the product and every earlier index's
+status and changes the length by one: a sign-reversing involution whose
+fixed points are the compositions above.
+
 Inside this module a standard partition is its code: its restricted growth
 string (Knuth, TAOCP 4A, 7.2.1.5), whose entry i is the 0-based index, in
 block-minima order, of the block holding i + 1, so 14.2.3 is
@@ -754,7 +765,11 @@ def primitive_space_dimension(n):
 def hall_span_check(n):
     """True when the weight-n Hall primitives are independent and span the
     primitive subspace."""
-    words = lyndon_atom_words(n)
+    return _hall_span(n, lyndon_atom_words(n), primitive_space_dimension(n))
+
+
+def _hall_span(n, words, dim):
+    """``hall_span_check`` given the Lyndon atom words and the dimension."""
     elements = [hall_primitive(word) for word in words]
     for element in elements:
         if reduced_coproduct(element):
@@ -768,7 +783,7 @@ def hall_span_check(n):
                 return False
             row[index[code]] = coeff
         matrix.append(row)
-    return integer_rank(matrix) == len(elements) == primitive_space_dimension(n)
+    return integer_rank(matrix) == len(elements) == dim
 
 
 def _signed(x, order, body):

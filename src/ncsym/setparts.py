@@ -14,9 +14,15 @@ canonical by construction and built by the one trusted ``_of`` of
 ``_Groups``, the private base both types share with ``words.Word``.
 
 All values are immutable after construction and safe to share between
-threads.  The enumeration functions return fresh iterators in a fixed order
-(lexicographic on the extended-form string), so repeated calls replay the
-same stream.
+threads.  The enumeration functions check their argument when called and
+return fresh iterators in a fixed order, lexicographic on the extended-form
+string.  All but ``atomic_set_partitions`` (the independent referee of
+``set_partitions``, which builds and sorts) are lazy and meet the order by
+construction: an element's digits plus the separator after it form a token,
+tokens are tried in string order, and no token is a proper prefix of a
+sibling, since separators are not digits.  ``refinements`` is a product of
+each part's compositions, all of one string length per part, so product
+order is string order.
 """
 
 from __future__ import annotations
@@ -378,18 +384,43 @@ def _checked_size(n):
     return n
 
 
+def _sequences(others, sep, fixed=0, done=(), group=()):
+    """Each sequence of groups covering the elements ``others`` (in
+    digit-string order) after the closed groups ``done`` and the open
+    ``group``, in token order: the first ``fixed`` groups open at the least
+    element left, the later ones at any.  A group goes on at x (",") before
+    it closes there (``sep``), and a closing is held back past each later
+    element whose digits it sorts after ("1|" after "10,")."""
+    if not others:
+        yield done
+        return
+    low = group[-1] if group else 0
+    high = min(others) if fixed > 0 and not group else max(others)
+    held = []
+    for i, x in enumerate(others):
+        if low < x <= high:
+            digits = str(x)
+            while held and held[-1][0] < digits:
+                yield from held.pop()[1]
+            grown = group + (x,)
+            rest = others[:i] + others[i + 1 :]
+            if rest and max(rest) > x:
+                yield from _sequences(rest, sep, fixed, done, grown)
+            held.append((digits + sep, _sequences(rest, sep, fixed - 1, done + (grown,))))
+    while held:
+        yield from held.pop()[1]
+
+
+def _by_digits(elements):
+    """The elements in the string order of their digits, as ``_sequences``
+    takes them."""
+    return tuple(sorted(elements, key=str))
+
+
 def set_partitions(n):
     """All set partitions of {1..n}, ordered by their extended-form strings."""
     _checked_size(n)
-    state = [()]
-    for x in range(1, n + 1):
-        grown = []
-        for blocks in state:
-            for i in range(len(blocks)):
-                grown.append(blocks[:i] + (blocks[i] + (x,),) + blocks[i + 1 :])
-            grown.append(blocks + ((x,),))
-        state = grown
-    return iter(sorted(map(SetPartition._of, state), key=SetPartition.sort_key))
+    return map(SetPartition._of, _sequences(_by_digits(range(1, n + 1)), ".", n))
 
 
 def atomic_set_partitions(n):
@@ -420,25 +451,12 @@ def atomic_set_partitions(n):
     return iter(sorted(found, key=SetPartition.sort_key))
 
 
-def _raw_compositions(elems):
-    if not elems:
-        yield ()
-        return
-    for size in range(1, len(elems) + 1):
-        for first in itertools.combinations(elems, size):
-            taken = set(first)
-            rest = tuple(e for e in elems if e not in taken)
-            for tail in _raw_compositions(rest):
-                yield (first,) + tail
-
-
 def compositions_of(elements):
     """All set compositions of a finite set of positive integers."""
-    elems = tuple(sorted(set(elements)))
+    elems = set(elements)
     if elems:
         _checked_groups((elems,), "part")
-    comps = map(SetComposition._of, _raw_compositions(elems))
-    return iter(sorted(comps, key=SetComposition.sort_key))
+    return map(SetComposition._of, _sequences(_by_digits(elems), "|"))
 
 
 def set_compositions(r):
@@ -452,23 +470,12 @@ def anchored_compositions(r):
     _checked_size(r)
     if r == 0:
         return iter(())
-    rest = tuple(range(2, r + 1))
-    found = []
-    for size in range(0, r):
-        for extra in itertools.combinations(rest, size):
-            taken = set(extra)
-            remaining = tuple(e for e in rest if e not in taken)
-            for tail in _raw_compositions(remaining):
-                found.append(SetComposition._of(((1,) + extra,) + tail))
-    return iter(sorted(found, key=SetComposition.sort_key))
+    return map(SetComposition._of, _sequences(_by_digits(range(1, r + 1)), "|", 1))
 
 
 def refinements(rho):
     """All set compositions refining ``rho`` (each part split in place)."""
     if not isinstance(rho, SetComposition):
         raise TypeError("refinements expects a set composition")
-    per_part = [list(_raw_compositions(part)) for part in rho.parts]
-    found = []
-    for combo in itertools.product(*per_part):
-        found.append(SetComposition._of(tuple(itertools.chain.from_iterable(combo))))
-    return iter(sorted(found, key=SetComposition.sort_key))
+    per_part = [_sequences(_by_digits(part), "|") for part in rho.parts]
+    return (SetComposition._of(sum(combo, ())) for combo in itertools.product(*per_part))

@@ -120,22 +120,21 @@ def _partition_pool(max_weight, rng, partitions):
 
 
 def _pair_pool(max_weight, rng, partitions):
-    by_weight = {n: partitions(n) for n in range(0, max_weight + 1)}
     pairs = []
-    cap = min(max_weight, EXHAUSTIVE_CAP)
-    for total in range(0, cap + 1):
-        for a in range(0, total + 1):
-            for left in by_weight[a]:
-                for right in by_weight[total - a]:
-                    pairs.append((left, right))
-    for total in range(cap + 1, max_weight + 1):
-        candidates = [
-            (left, right)
-            for a in range(total + 1)
-            for left in by_weight[a]
-            for right in by_weight[total - a]
-        ]
-        pairs.extend(rng.sample(candidates, min(SAMPLE_PAIRS, len(candidates))))
+    for total in range(0, max_weight + 1):
+        # Every candidate pair by its index in (a, left, right) order, or a
+        # sample of the indices, drawn as from a list of the pairs.
+        blocks = [(partitions(a), partitions(total - a)) for a in range(total + 1)]
+        count = sum(len(lefts) * len(rights) for lefts, rights in blocks)
+        picked = range(count)
+        if total > EXHAUSTIVE_CAP:
+            picked = rng.sample(picked, min(SAMPLE_PAIRS, count))
+        for index in picked:
+            for lefts, rights in blocks:
+                if index < len(lefts) * len(rights):
+                    break
+                index -= len(lefts) * len(rights)
+            pairs.append((lefts[index // len(rights)], rights[index % len(rights)]))
     return pairs
 
 
@@ -447,7 +446,7 @@ def check_hall_span(max_weight, rng, partitions):
         dim = hopf.primitive_space_dimension(n)
         lyndon = hopf.lyndon_atom_words(n)
         res.tally(dim == len(lyndon), f"dimension vs Lyndon count n={n}")
-        res.tally(hopf.hall_span_check(n), f"hall span n={n}")
+        res.tally(hopf._hall_span(n, lyndon, dim), f"hall span n={n}")
     return res
 
 

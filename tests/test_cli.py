@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncsym import SetPartition, hopf, serialize, verify, words
+from ncsym import SetPartition, cli, hopf, serialize, verify, words
 from ncsym.cli import ENUMERATE_LIMIT, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -136,6 +136,35 @@ class TestEnumerateBound:
     def test_negative_size_keeps_its_message(self, capsys):
         code, out, err = run_cli(capsys, "enumerate", "compositions", "-1")
         assert (code, out, err) == (2, "", "error: size must be a nonnegative integer, got -1\n")
+
+
+class TestEnumerateCount:
+    @pytest.mark.parametrize("kind", ["partitions", "atomic", "compositions", "anchored"])
+    def test_count_equals_the_listing(self, capsys, kind):
+        for n in range(8):
+            code, text, _ = run_cli(capsys, "enumerate", kind, str(n))
+            values = json.loads(run_cli(capsys, "enumerate", kind, str(n), "--format", "json")[1])
+            assert code == 0 and text.count("\n") == len(values)
+            count = run_cli(capsys, "enumerate", kind, str(n), "--count")
+            assert count == (0, f"{len(values)}\n", "")
+            count = run_cli(capsys, "enumerate", kind, str(n), "--count", "--format", "json")
+            assert count == (0, json.dumps({"count": len(values)}) + "\n", "")
+
+    def test_count_enumerates_nothing(self, capsys, monkeypatch):
+        def no_stream(n):
+            raise AssertionError("the stream ran")
+
+        monkeypatch.setattr(cli, "_STREAMS", dict.fromkeys(cli._STREAMS, no_stream))
+        # Sizes under the limit whose streams would take seconds to count.
+        expected = {"partitions": 115975, "atomic": 67146, "compositions": 545835, "anchored": 94586}
+        for kind, count in expected.items():
+            size = "10" if kind in ("partitions", "atomic") else "8"
+            assert run_cli(capsys, "enumerate", kind, size, "--count") == (0, f"{count}\n", "")
+
+    def test_negative_size_counted_keeps_its_message(self, capsys):
+        for kind in ("partitions", "atomic", "compositions", "anchored"):
+            code, out, err = run_cli(capsys, "enumerate", kind, "-1", "--count")
+            assert (code, out, err) == (2, "", "error: size must be a nonnegative integer, got -1\n")
 
 
 class TestCoproductBound:

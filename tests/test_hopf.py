@@ -28,6 +28,7 @@ from ncsym import (
     primitive,
     primitive_space_dimension,
     reduced_coproduct,
+    set_compositions,
     set_partitions,
 )
 from ncsym.hopf import _ANTIPODE_METHODS, _decode, _encode, _primitive_anchored
@@ -253,6 +254,26 @@ class TestCounit:
         assert counit(3 * NCSymElement.unit() - 2 * E(P("1"))) == 3
 
 
+def cancellation_free_antipode(part):
+    """The antipode by the cancellation-free formula: (-1)^k p_gamma(A) over
+    the set compositions gamma = (K_1, ..., K_k) of the block indices whose
+    every std(A|K_i) is atomic and whose every part's largest element exceeds
+    the next part's smallest one."""
+    blocks = part.blocks
+    terms = []
+    for gamma in set_compositions(part.length):
+        pieces = [part.sub_partition(k).standardize() for k in gamma.parts]
+        spans = [
+            (min(blocks[i - 1][0] for i in k), max(blocks[i - 1][-1] for i in k))
+            for k in gamma.parts
+        ]
+        if all(piece.is_atomic() for piece in pieces) and all(
+            high > low for (_, high), (low, _) in zip(spans, spans[1:])
+        ):
+            terms.append((gamma.evaluate(part), (-1) ** gamma.length))
+    return NCSymElement(terms)
+
+
 class TestAntipode:
     def test_cancellation_to_single_term(self):
         assert antipode_direct(P("12.3")) == element(("1.23", 1))
@@ -281,6 +302,11 @@ class TestAntipode:
             assert antipode_factored(part) == antipode_direct(part)
         for part in set_partitions(6):
             assert antipode_factored(part) == antipode_oracle(part)
+
+    def test_cancellation_free_formula(self):
+        for n in range(7):
+            for part in set_partitions(n):
+                assert cancellation_free_antipode(part) == antipode(E(part)), part
 
     def test_growth_string_round_trip(self):
         assert _encode(P("14.2.3")) == bytes((0, 1, 2, 0))

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from ncsym import (
@@ -257,3 +259,98 @@ class TestEnumeration:
     def test_size_validation(self):
         with pytest.raises(ValueError):
             list(set_partitions(-1))
+
+
+def sorted_partitions(n):
+    """The build-then-sort body ``set_partitions`` replaced, kept as the
+    referee of its order."""
+    state = [()]
+    for x in range(1, n + 1):
+        grown = []
+        for blocks in state:
+            for i in range(len(blocks)):
+                grown.append(blocks[:i] + (blocks[i] + (x,),) + blocks[i + 1 :])
+            grown.append(blocks + ((x,),))
+        state = grown
+    return sorted(map(SetPartition._of, state), key=SetPartition.sort_key)
+
+
+def raw_compositions(elems):
+    if not elems:
+        yield ()
+        return
+    for size in range(1, len(elems) + 1):
+        for first in itertools.combinations(elems, size):
+            rest = tuple(e for e in elems if e not in first)
+            for tail in raw_compositions(rest):
+                yield (first,) + tail
+
+
+def sorted_compositions(elements):
+    """The build-then-sort body of ``compositions_of``, kept as its referee."""
+    comps = map(SetComposition._of, raw_compositions(tuple(sorted(elements))))
+    return sorted(comps, key=SetComposition.sort_key)
+
+
+def sorted_refinements(rho):
+    """The build-then-sort body of ``refinements``, kept as its referee."""
+    per_part = [list(raw_compositions(part)) for part in rho.parts]
+    found = (SetComposition._of(sum(combo, ())) for combo in itertools.product(*per_part))
+    return sorted(found, key=SetComposition.sort_key)
+
+
+# Grounds whose decimal strings nest ("1" in "10" and "100"), where a part
+# closing at 1 ("1|") sorts after every string going on with 10 ("10,").
+MULTI_DIGIT = [(8, 9, 10, 11, 12), (1, 2, 10, 11, 100), (3, 30, 31, 300)]
+
+
+class TestLazyEnumeration:
+    def test_partitions_match_build_then_sort(self):
+        for n in range(11):
+            assert list(set_partitions(n)) == sorted_partitions(n), n
+
+    def test_compositions_match_build_then_sort(self):
+        for r in range(7):
+            assert list(set_compositions(r)) == sorted_compositions(range(1, r + 1)), r
+
+    def test_anchored_match_build_then_sort(self):
+        for r in range(7):
+            comps = sorted_compositions(range(1, r + 1))
+            assert list(anchored_compositions(r)) == [g for g in comps if g.parts and 1 in g.parts[0]]
+
+    def test_multi_digit_grounds(self):
+        for ground in MULTI_DIGIT:
+            comps = sorted_compositions(ground)
+            assert list(compositions_of(ground)) == comps, ground
+            for rho in comps:
+                assert list(refinements(rho)) == sorted_refinements(rho), rho
+
+    def test_refinements_of_mixed_parts(self):
+        for rho in set_compositions(4):
+            assert list(refinements(rho)) == sorted_refinements(rho), rho
+        rho = SetComposition([(2, 12), (1, 10, 11), (3,)])
+        assert list(refinements(rho)) == sorted_refinements(rho)
+
+    @pytest.mark.parametrize(
+        "cls, stream, n, first",
+        [
+            (SetComposition, set_compositions, 12, "1,10,11,12|2,3,4,5,6,7,8,9"),
+            (SetPartition, set_partitions, 15, "1,10,11,12,13,14,15.2,3,4,5,6,7,8,9"),
+        ],
+    )
+    def test_first_value_builds_one(self, monkeypatch, cls, stream, n, first):
+        built = []
+        of = cls._of
+        monkeypatch.setattr(cls, "_of", lambda groups: built.append(groups) or of(groups))
+        value = next(stream(n))
+        assert len(built) == 1
+        assert value.format("extended") == first
+
+    def test_arguments_checked_when_called(self):
+        for stream in (set_partitions, set_compositions, anchored_compositions, atomic_set_partitions):
+            with pytest.raises(ValueError, match="size must be a nonnegative integer, got -1"):
+                stream(-1)
+        with pytest.raises(ValueError, match="part elements must be positive integers, got 0"):
+            compositions_of([0, 2])
+        with pytest.raises(TypeError, match="refinements expects a set composition"):
+            refinements("1|2")
