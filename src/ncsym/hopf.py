@@ -71,7 +71,6 @@ from .setparts import (
     SetPartition,
     _label,
     anchored_compositions,
-    atomic_set_partitions,
     set_compositions,
     set_partitions,
 )
@@ -714,28 +713,30 @@ def hall_primitive(atoms):
 
 
 def lyndon_atom_words(total_weight):
-    """Lyndon words in the atom alphabet with the given total weight."""
-    if not isinstance(total_weight, int) or total_weight < 1:
+    """Lyndon words in the atom alphabet with the given total weight, in
+    ``partition_key`` order.
+
+    The product concatenates partitions, so each standard partition of the
+    weight is exactly one word of atoms, its ``atoms()``; the words are read
+    off the partitions whose key is Lyndon.
+    """
+    if not isinstance(total_weight, int) or isinstance(total_weight, bool) or total_weight < 1:
         raise ValueError(f"total weight must be a positive integer, got {total_weight!r}")
-    atoms_by_weight = {
-        w: list(atomic_set_partitions(w)) for w in range(1, total_weight + 1)
-    }
-    found = []
+    keyed = sorted(
+        ((partition_key(part), part) for part in set_partitions(total_weight)),
+        key=lambda pair: pair[0],
+    )
+    return [part.atoms() for key, part in keyed if is_lyndon(key)]
 
-    def extend(prefix, remaining):
-        if remaining == 0:
-            if is_lyndon(prefix, key=atom_key):
-                found.append(tuple(prefix))
-            return
-        for w in range(1, remaining + 1):
-            for atom in atoms_by_weight[w]:
-                prefix.append(atom)
-                extend(prefix, remaining - w)
-                prefix.pop()
 
-    extend([], total_weight)
-    found.sort(key=lambda word: tuple(atom_key(a) for a in word))
-    return found
+def _sparse_rank(rows):
+    """Exact rank of rows given as {column key: int} maps, one column per
+    key met."""
+    columns = {}
+    for row in rows:
+        for key in row:
+            columns.setdefault(key, len(columns))
+    return integer_rank([[row.get(key, 0) for key in columns] for row in rows])
 
 
 def primitive_space_dimension(n):
@@ -744,22 +745,13 @@ def primitive_space_dimension(n):
     Nullity of the reduced coproduct on the weight-n basis, by exact
     integer elimination.  Intended for desk scale (n <= 6 runs comfortably).
     """
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"weight must be a positive integer, got {n!r}")
-    basis = list(set_partitions(n))
-    columns = {}
-    sparse_rows = []
-    for part in basis:
-        row = {}
-        reduced = reduced_coproduct(NCSymElement.from_partition(part))
-        for pair, coeff in reduced._terms.items():
-            col = columns.setdefault(pair, len(columns))
-            row[col] = coeff
-        sparse_rows.append(row)
-    matrix = [[row.get(j, 0) for j in range(len(columns))] for row in sparse_rows]
-    if not columns:
-        return len(basis)
-    return len(basis) - integer_rank(matrix)
+    rows = [
+        reduced_coproduct(NCSymElement.from_partition(part))._terms
+        for part in set_partitions(n)
+    ]
+    return len(rows) - _sparse_rank(rows)
 
 
 def hall_span_check(n):
@@ -769,21 +761,14 @@ def hall_span_check(n):
 
 
 def _hall_span(n, words, dim):
-    """``hall_span_check`` given the Lyndon atom words and the dimension."""
+    """``hall_span_check`` given the Lyndon atom words and the dimension: each
+    word's Hall primitive is primitive and of weight n, and their exact rank
+    is both their number and ``dim``.  Enumerates nothing."""
     elements = [hall_primitive(word) for word in words]
     for element in elements:
-        if reduced_coproduct(element):
+        if reduced_coproduct(element) or any(len(code) != n for code in element._terms):
             return False
-    index = {_encode(part): i for i, part in enumerate(set_partitions(n))}
-    matrix = []
-    for element in elements:
-        row = [0] * len(index)
-        for code, coeff in element._terms.items():
-            if len(code) != n:
-                return False
-            row[index[code]] = coeff
-        matrix.append(row)
-    return integer_rank(matrix) == len(elements) == dim
+    return _sparse_rank([element._terms for element in elements]) == len(elements) == dim
 
 
 def _signed(x, order, body):

@@ -15,14 +15,13 @@ canonical by construction and built by the one trusted ``_of`` of
 
 All values are immutable after construction and safe to share between
 threads.  The enumeration functions check their argument when called and
-return fresh iterators in a fixed order, lexicographic on the extended-form
-string.  All but ``atomic_set_partitions`` (the independent referee of
-``set_partitions``, which builds and sorts) are lazy and meet the order by
-construction: an element's digits plus the separator after it form a token,
-tokens are tried in string order, and no token is a proper prefix of a
-sibling, since separators are not digits.  ``refinements`` is a product of
-each part's compositions, all of one string length per part, so product
-order is string order.
+return fresh lazy iterators in a fixed order, lexicographic on the
+extended-form string, which they meet by construction: an element's digits
+plus the separator after it form a token, tokens are tried in string order,
+and no token is a proper prefix of a sibling, since separators are not
+digits.  ``atomic_set_partitions`` filters ``set_partitions``, so it keeps
+that order.  ``refinements`` is a product of each part's compositions, all
+of one string length per part, so product order is string order.
 """
 
 from __future__ import annotations
@@ -379,7 +378,7 @@ def parse(text):
 
 
 def _checked_size(n):
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"size must be a nonnegative integer, got {n!r}")
     return n
 
@@ -424,31 +423,9 @@ def set_partitions(n):
 
 
 def atomic_set_partitions(n):
-    """Atomic set partitions of {1..n}, in the same order as ``set_partitions``.
-
-    Generates via restricted-growth label strings (a code path independent of
-    ``set_partitions``) and keeps the partitions with no proper prefix cut.
-    """
-    _checked_size(n)
-    found = []
-
-    def walk(labels, top):
-        if len(labels) == n:
-            blocks = [[] for _ in range(top + 1)]
-            for idx, lab in enumerate(labels):
-                blocks[lab].append(idx + 1)
-            cand = SetPartition._of(tuple(map(tuple, blocks)))
-            if cand.is_atomic():
-                found.append(cand)
-            return
-        for v in range(top + 2):
-            labels.append(v)
-            walk(labels, max(top, v))
-            labels.pop()
-
-    if n:
-        walk([], -1)
-    return iter(sorted(found, key=SetPartition.sort_key))
+    """Atomic set partitions of {1..n}: ``set_partitions`` filtered by
+    ``is_atomic``, lazily and in the same order."""
+    return filter(SetPartition.is_atomic, set_partitions(n))
 
 
 def compositions_of(elements):

@@ -40,7 +40,8 @@ EXHAUSTIVE_CAP = 5
 # Largest accepted max_weight.  At 7 every seed's full run takes seconds (the
 # worst sample, the 7-block partition, needs 47 293 compositions in
 # antipode-methods); at 8 a sampled 8-block partition needs 545 835, over a
-# minute, and every sampled weight enumerates all Bell(n) partitions per check.
+# minute, and each sampled weight's Bell(n) partitions are enumerated once
+# per run.
 MAX_WEIGHT = 7
 SAMPLE_PARTITIONS = 12
 SAMPLE_PAIRS = 20
@@ -98,15 +99,27 @@ def quasi_shuffle_count(k, l):
     return table[k][l]
 
 
+def _growth_string_partitions(n):
+    """Each set partition of {1..n}, unsorted, by a walk over restricted
+    growth strings (label i is the block holding i + 1, blocks in minima
+    order): a code path independent of ``setparts``' enumeration."""
+
+    def walk(labels, top):
+        if len(labels) == n:
+            blocks = [[] for _ in range(top + 1)]
+            for x, label in enumerate(labels, 1):
+                blocks[label].append(x)
+            yield SetPartition._of(tuple(map(tuple, blocks)))
+        else:
+            for v in range(top + 2):
+                yield from walk(labels + [v], max(top, v))
+
+    return walk([], -1)
+
+
 def growth_string_count(n):
-    """Count restricted-growth strings of length n without building them."""
-
-    def count(i, top):
-        if i == n:
-            return 1
-        return sum(count(i + 1, max(top, v)) for v in range(top + 2))
-
-    return count(0, -1)
+    """Count the restricted-growth strings of length n by walking them."""
+    return sum(1 for _ in _growth_string_partitions(n))
 
 
 def _partition_pool(max_weight, rng, partitions):
@@ -154,9 +167,12 @@ def check_cardinalities(max_weight, rng, partitions):
             f"composition count r={r}",
         )
     for n in range(1, 7):
-        direct = list(setparts.atomic_set_partitions(n))
+        walked = filter(SetPartition.is_atomic, _growth_string_partitions(n))
         filtered = [p for p in partitions(n) if p.is_atomic()]
-        res.tally(direct == filtered, f"atomic enumeration n={n}")
+        res.tally(
+            sorted(walked, key=SetPartition.sort_key) == filtered,
+            f"atomic enumeration n={n}",
+        )
     return res
 
 
@@ -474,7 +490,7 @@ CHECK_NAMES = tuple(name for name, _ in _CHECKS)
 
 def run_checks(max_weight=4, names=None, seed=0):
     """Run the named checks (all by default) and return their results."""
-    if not isinstance(max_weight, int) or max_weight < 0:
+    if not isinstance(max_weight, int) or isinstance(max_weight, bool) or max_weight < 0:
         raise ValueError(f"max weight must be a nonnegative integer, got {max_weight!r}")
     if max_weight > MAX_WEIGHT:
         raise ValueError(f"max weight must be at most {MAX_WEIGHT}, got {max_weight}")
@@ -486,6 +502,8 @@ def run_checks(max_weight=4, names=None, seed=0):
         for name in selected:
             if name not in table:
                 raise ValueError(f"unknown check {name!r}")
+        if not selected:
+            raise ValueError("no check selected")
     # Each weight's partitions, enumerated once for all the checks of the run;
     # no check changes the lists.
     partitions = functools.cache(lambda n: list(setparts.set_partitions(n)))

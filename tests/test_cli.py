@@ -316,6 +316,13 @@ class TestErrors:
         with pytest.raises(ValueError, match="max weight must be"):
             verify.run_checks(int(weight), ["cardinalities"])
 
+    @pytest.mark.parametrize("checks", [",", ""])
+    def test_verify_empty_check_list(self, capsys, checks):
+        code, out, err = run_cli(capsys, "verify", "--checks", checks)
+        assert (code, out, err) == (2, "", "error: no check selected\n")
+        with pytest.raises(ValueError, match="no check selected"):
+            verify.run_checks(3, [])
+
     def test_verify_failure_exits_one(self, capsys, monkeypatch):
         failing = verify.CheckResult("stub", cases=1, failures=["boom"])
         monkeypatch.setattr(verify, "run_checks", lambda *a, **k: [failing])

@@ -22,6 +22,8 @@ from ncsym import (
     format_tensor,
     hall_primitive,
     hall_span_check,
+    hopf,
+    is_lyndon,
     leading_term,
     lyndon_atom_words,
     partition_key,
@@ -31,7 +33,7 @@ from ncsym import (
     set_compositions,
     set_partitions,
 )
-from ncsym.hopf import _ANTIPODE_METHODS, _decode, _encode, _primitive_anchored
+from ncsym.hopf import _ANTIPODE_METHODS, _decode, _encode, _hall_span, _primitive_anchored
 
 P = SetPartition.parse
 E = NCSymElement.from_partition
@@ -478,6 +480,28 @@ class TestAtomOrder:
             leading_term(NCSymElement.zero())
 
 
+def recursive_lyndon_atom_words(total_weight):
+    """The recursive atom-word builder ``lyndon_atom_words`` replaced, kept as
+    its referee: every word of atoms of the weight, kept when Lyndon."""
+    atoms_by_weight = {w: list(atomic_set_partitions(w)) for w in range(1, total_weight + 1)}
+    found = []
+
+    def extend(prefix, remaining):
+        if remaining == 0:
+            if is_lyndon(prefix, key=atom_key):
+                found.append(tuple(prefix))
+            return
+        for w in range(1, remaining + 1):
+            for atom in atoms_by_weight[w]:
+                prefix.append(atom)
+                extend(prefix, remaining - w)
+                prefix.pop()
+
+    extend([], total_weight)
+    found.sort(key=lambda word: tuple(atom_key(a) for a in word))
+    return found
+
+
 class TestHallBasis:
     def test_single_atom(self):
         assert hall_primitive([P("13.2")]) == primitive(P("13.2"))
@@ -503,6 +527,35 @@ class TestHallBasis:
 
     def test_lyndon_atom_word_counts(self):
         assert [len(lyndon_atom_words(n)) for n in range(1, 6)] == [1, 1, 3, 9, 34]
+
+    def test_lyndon_atom_words_match_recursive_builder(self):
+        for n in range(1, 8):
+            assert lyndon_atom_words(n) == recursive_lyndon_atom_words(n), n
+
+    def test_weights_reject_bool(self):
+        for flag in (True, False):
+            with pytest.raises(ValueError, match="total weight must be a positive integer"):
+                lyndon_atom_words(flag)
+            with pytest.raises(ValueError, match="weight must be a positive integer"):
+                primitive_space_dimension(flag)
+
+    def test_hall_span_refuses_wrong_inputs(self):
+        words = lyndon_atom_words(4)
+        dim = len(words)
+        assert _hall_span(4, words, dim)
+        assert not _hall_span(4, words + [words[0]], dim + 1)
+        assert not _hall_span(4, words, dim + 1)
+        assert not _hall_span(4, words, dim - 1)
+
+    def test_hall_span_enumerates_nothing(self, monkeypatch):
+        inputs = {n: (lyndon_atom_words(n), primitive_space_dimension(n)) for n in range(1, 6)}
+
+        def no_enumeration(n):
+            raise AssertionError("_hall_span enumerated partitions")
+
+        monkeypatch.setattr(hopf, "set_partitions", no_enumeration)
+        for n, (words, dim) in inputs.items():
+            assert _hall_span(n, words, dim), n
 
     def test_dimensions(self):
         assert primitive_space_dimension(1) == 1

@@ -251,9 +251,9 @@ class TestEnumeration:
         ]
 
     def test_atomic_stream_matches_filter(self):
-        for n in range(0, 7):
+        for n in range(0, 8):
             assert list(atomic_set_partitions(n)) == [
-                p for p in set_partitions(n) if p.is_atomic()
+                p for p in sorted_partitions(n) if p.is_atomic()
             ]
 
     def test_size_validation(self):
@@ -336,6 +336,7 @@ class TestLazyEnumeration:
         [
             (SetComposition, set_compositions, 12, "1,10,11,12|2,3,4,5,6,7,8,9"),
             (SetPartition, set_partitions, 15, "1,10,11,12,13,14,15.2,3,4,5,6,7,8,9"),
+            (SetPartition, atomic_set_partitions, 12, "1,10,11,12.2,3,4,5,6,7,8,9"),
         ],
     )
     def test_first_value_builds_one(self, monkeypatch, cls, stream, n, first):
@@ -352,5 +353,9 @@ class TestLazyEnumeration:
                 stream(-1)
         with pytest.raises(ValueError, match="part elements must be positive integers, got 0"):
             compositions_of([0, 2])
+        for stream in (set_partitions, set_compositions, anchored_compositions, atomic_set_partitions):
+            for flag in (True, False):
+                with pytest.raises(ValueError, match=f"size must be a nonnegative integer, got {flag}"):
+                    stream(flag)
         with pytest.raises(TypeError, match="refinements expects a set composition"):
             refinements("1|2")

@@ -2,12 +2,17 @@ import collections
 import functools
 import random
 
+import pytest
+
 from ncsym import setparts, verify
 
 
 def test_each_weight_enumerated_once_per_run(monkeypatch):
-    # The checks share one list per weight; hopf.primitive_space_dimension and
-    # hall_span_check, public functions of a weight, enumerate on their own.
+    # The checks share one list per weight.  hall-span hands the Lyndon words
+    # and the dimension to hopf._hall_span, which enumerates nothing;
+    # primitive_space_dimension and lyndon_atom_words, public functions of a
+    # weight, enumerate through hopf's own binding.  The atomic enumeration
+    # case walks growth strings instead of calling atomic_set_partitions.
     calls = collections.Counter()
     enumerate_partitions = setparts.set_partitions
 
@@ -52,3 +57,16 @@ def test_pair_pool_draws_as_list_sampling():
             pool = verify._pair_pool(max_weight, rng, partitions)
             assert pool == pair_pool_by_list(max_weight, referee, partitions)
             assert rng.getstate() == referee.getstate()
+
+
+def test_max_weight_rejects_bool():
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="max weight must be a nonnegative integer"):
+            verify.run_checks(max_weight=flag, names=["cardinalities"])
+
+
+def test_growth_string_walk_is_the_referee():
+    for n in range(9):
+        walked = list(verify._growth_string_partitions(n))
+        assert verify.growth_string_count(n) == len(walked) == verify.bell_numbers(8)[n]
+        assert sorted(walked, key=setparts.SetPartition.sort_key) == list(setparts.set_partitions(n))
