@@ -9,7 +9,9 @@ unparseable or invalid input (the message names the offending token), for an
 ``coproduct`` predicted to exceed as many splits, for input too
 large to compute (recursion limit or memory exhausted) and for a
 ``TypeError`` escaping a command, and 130 when interrupted (Ctrl-C), each
-error with one ``error:`` line on stderr.
+error with one ``error:`` line on stderr.  When the reader of stdout goes
+away early (``ncsym enumerate partitions 10 | head -1``), the exit code is
+141 (128 + SIGPIPE), with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from datetime import datetime
 
@@ -294,6 +297,19 @@ def build_parser():
 _shared_parser = functools.cache(build_parser)
 
 
+def _drop_stdout():
+    """Point stdout's descriptor at the null device, so that the flush at
+    exit does not fail on the closed pipe again.  A stdout without a
+    descriptor (an in-memory stream) is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv=None):
     try:
         args = _shared_parser().parse_args(argv)
@@ -301,10 +317,15 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     try:
         result = args.handler(args)
-        if result is None or isinstance(result, int):
-            return result or 0
-        _emit(result, args.fmt)
-        return 0
+        if result is not None and not isinstance(result, int):
+            _emit(result, args.fmt)
+            result = 0
+        # Flushed here, so that a reader gone before the exit is met below.
+        sys.stdout.flush()
+        return result or 0
+    except BrokenPipeError:
+        _drop_stdout()
+        return 141
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     except KeyboardInterrupt:

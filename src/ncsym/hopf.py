@@ -54,7 +54,9 @@ term.  Partitions are made only at the boundary.  The public constructors
 ``support``, the text forms and the maps handed to ``convolve`` decode each
 distinct code once per call.  Sums, products, coproducts, antipodes and
 primitives stay codes and are trusted: ``_Combination._combine`` and
-``_wrap`` build them without re-checking.
+``_wrap`` build them without re-checking.  The default antipode runs from an
+element's codes to its kernel (``_factored_codes``) without a partition;
+only the ``direct`` and ``oracle`` referees take each term as a partition.
 
 Everything is exact: coefficients are Python ints, and the primitive-space
 dimensions come from fraction-free integer elimination.
@@ -479,12 +481,14 @@ def _kernel():
     """The default route's antipode on codes whose atoms have at most
     ``MAX_PARTS`` labels, memoized for one call.
 
-    Returns ``antipode_of(code)``, a dict of codes to coefficients, and
-    ``first_part_sum(code, anchored, sign)``: sign times the sum over the
-    nonempty label sets K of std(A|K) * S(std(A|rest)), K running over the
-    sets holding label 0 only when ``anchored``.  Equal (head, tail) splits are
-    combined first; a product is ``head + q`` with q's labels shifted up.
-    Callers may keep the dicts returned, but not change them.
+    Returns ``antipode_of(code, pieces=None)``, a dict of codes to
+    coefficients, where ``pieces`` may hand over the code's atoms when the
+    caller has already split it, and ``first_part_sum(code, anchored,
+    sign)``: sign times the sum over the nonempty label sets K of std(A|K) *
+    S(std(A|rest)), K running over the sets holding label 0 only when
+    ``anchored``.  Equal (head, tail) splits are combined first; a product is
+    ``head + q`` with q's labels shifted up.  Callers may keep the dicts
+    returned, but not change them.
     """
     memo = {b"": {b"": 1}}
 
@@ -504,27 +508,63 @@ def _kernel():
                 out[key] = out.get(key, 0) + coeff * c
         return _nonzero(out)
 
-    def antipode_of(code):
+    def antipode_of(code, pieces=None):
         got = memo.get(code)
         if got is not None:
             return got
-        pieces = _code_atoms(code)
+        if pieces is None:
+            pieces = _code_atoms(code)
         if len(pieces) == 1:
             got = first_part_sum(code, False, -1)
         else:
-            # S(A_t)...S(A_1): each atom's antipode is homogeneous, so no
-            # two products of a factor's terms coincide.
-            got = antipode_of(pieces[0])
+            # S(A_t)...S(A_1).  Every term of an atom's antipode has the
+            # atom's block count, so the running product is shifted once per
+            # atom, and no two products of a factor's terms coincide.
+            got = antipode_of(pieces[0], pieces[:1])
+            blocks = _blocks(pieces[0])
             for piece in pieces[1:]:
-                got = {
-                    _concat(x, y): cx * cy
-                    for x, cx in antipode_of(piece).items()
-                    for y, cy in got.items()
-                }
+                factor = antipode_of(piece, [piece])
+                k = _blocks(piece)
+                blocks += k
+                if blocks <= 255:
+                    shift = _SHIFT[k]
+                    tails = [(y.translate(shift), cy) for y, cy in got.items()]
+                    got = {x + y: cx * cy for x, cx in factor.items() for y, cy in tails}
+                else:
+                    got = {
+                        _concat(x, y): cx * cy for x, cx in factor.items() for y, cy in got.items()
+                    }
         memo[code] = got
         return got
 
     return antipode_of, first_part_sum
+
+
+def _factored_codes(terms):
+    """The default route on a map of codes to coefficients: a new dict of the
+    antipode's codes to coefficients.
+
+    Each nonempty code is cut into atoms once, and every atom is checked
+    against ``MAX_PARTS`` before any work; one kernel, and so one memo, serves
+    all the terms.
+    """
+    atoms = {code: _code_atoms(code) for code in terms if code}
+    for pieces in atoms.values():
+        widest = max(map(_blocks, pieces))
+        if widest > MAX_PARTS:
+            raise ValueError(
+                f"partition has an atom of {widest} blocks; "
+                f"the factored antipode supports atoms of at most {MAX_PARTS}"
+            )
+    antipode_of, _ = _kernel()
+    if len(terms) == 1:
+        ((code, coeff),) = terms.items()
+        return {q: coeff * c for q, c in antipode_of(code, atoms.get(code)).items()}
+    out = {}
+    for code, coeff in terms.items():
+        for q, c in antipode_of(code, atoms.get(code)).items():
+            out[q] = out.get(q, 0) + coeff * c
+    return _nonzero(out)
 
 
 def antipode_factored(part):
@@ -545,21 +585,15 @@ def antipode_factored(part):
     inside.  Labels stay below ``MAX_PARTS`` inside each atom's recursion
     whatever the weight, because inputs with an atom of more than
     ``MAX_PARTS`` blocks are refused before any work; the product over the
-    atoms is ``_concat``, which keys past 255 blocks by a tuple.  Nonempty
-    input required (the element-level wrapper covers the unit).
+    atoms keys past 255 blocks by a tuple.  This checks the partition and
+    runs the code-level body that the element-level ``antipode`` runs on its
+    terms.  Nonempty input required (the element-level wrapper covers the
+    unit).
     """
     _require_standard(part, "antipode")
     if part.weight == 0:
         raise ValueError("use the element-level antipode for the empty partition")
-    code = _encode(part)
-    widest = max(map(_blocks, _code_atoms(code)))
-    if widest > MAX_PARTS:
-        raise ValueError(
-            f"partition has an atom of {widest} blocks; "
-            f"the factored antipode supports atoms of at most {MAX_PARTS}"
-        )
-    antipode_of, _ = _kernel()
-    return NCSymElement._wrap(antipode_of(code))
+    return NCSymElement._wrap(_factored_codes({_encode(part): 1}))
 
 
 @functools.cache
@@ -604,8 +638,11 @@ def antipode(x, method="factored"):
         on_partition = _ANTIPODE_METHODS[method]
     except KeyError:
         raise ValueError(f"unknown antipode method {method!r}") from None
-    # Each route takes a partition, so a nonempty term is decoded once here
-    # and encoded once inside the route; its result stays in codes.
+    # The default route runs on the element's codes.  The referees, and a
+    # route rebound in the table alone, take each nonempty term as a
+    # partition, which keeps them independent of the code kernel.
+    if on_partition is antipode_factored:
+        return NCSymElement._wrap(_factored_codes(x._terms))
     return NCSymElement._combine(
         (q, coeff * c)
         for code, coeff in x._terms.items()
@@ -722,10 +759,12 @@ def lyndon_atom_words(total_weight):
     """
     if not isinstance(total_weight, int) or isinstance(total_weight, bool) or total_weight < 1:
         raise ValueError(f"total weight must be a positive integer, got {total_weight!r}")
-    keyed = sorted(
-        ((partition_key(part), part) for part in set_partitions(total_weight)),
-        key=lambda pair: pair[0],
-    )
+    return _lyndon_atom_words(set_partitions(total_weight))
+
+
+def _lyndon_atom_words(partitions):
+    """``lyndon_atom_words`` given the weight's standard partitions."""
+    keyed = sorted(((partition_key(part), part) for part in partitions), key=lambda pair: pair[0])
     return [part.atoms() for key, part in keyed if is_lyndon(key)]
 
 
@@ -747,10 +786,12 @@ def primitive_space_dimension(n):
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"weight must be a positive integer, got {n!r}")
-    rows = [
-        reduced_coproduct(NCSymElement.from_partition(part))._terms
-        for part in set_partitions(n)
-    ]
+    return _primitive_space_dimension(set_partitions(n))
+
+
+def _primitive_space_dimension(partitions):
+    """``primitive_space_dimension`` given the weight's standard partitions."""
+    rows = [reduced_coproduct(NCSymElement.from_partition(part))._terms for part in partitions]
     return len(rows) - _sparse_rank(rows)
 
 

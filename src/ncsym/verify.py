@@ -459,8 +459,8 @@ def check_unitriangular(max_weight, rng, partitions):
 def check_hall_span(max_weight, rng, partitions):
     res = CheckResult("hall-span")
     for n in range(1, min(max_weight, 6) + 1):
-        dim = hopf.primitive_space_dimension(n)
-        lyndon = hopf.lyndon_atom_words(n)
+        dim = hopf._primitive_space_dimension(partitions(n))
+        lyndon = hopf._lyndon_atom_words(partitions(n))
         res.tally(dim == len(lyndon), f"dimension vs Lyndon count n={n}")
         res.tally(hopf._hall_span(n, lyndon, dim), f"hall span n={n}")
     return res

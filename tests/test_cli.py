@@ -331,6 +331,22 @@ class TestErrors:
         assert "FAIL stub" in out
         assert json.loads(err.splitlines()[0]) == {"check": "stub", "detail": "boom"}
 
+    def test_closed_pipe_exits_quietly(self):
+        # Bell(10) lines fill the pipe long before the child is done, so it is
+        # still writing when the reader closes after the first line.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ncsym", "enumerate", "partitions", "10"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert first == b"1,10.2,3,4,5,6,7,8,9\n"
+        assert err == b""
+
 
 class TestGolden:
     def run_bytes(self, *argv):

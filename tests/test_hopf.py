@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -168,12 +169,12 @@ class TestCodeKeys:
         monkeypatch.setattr(SetPartition, "_of", classmethod(counted))
         s, t = antipode(multi_atom), coproduct(nine_blocks)
         assert len(s._terms) == 9 and len(t._terms) == 10
-        # The route is handed its one input term as a partition; no atom and
-        # no output term is built.
-        assert built == [P("13.2.4.57.6").blocks]
+        # The default route runs on codes from the element to its kernel: no
+        # input term, atom or output term is built.
+        assert built == []
         s.items()
         t.items()
-        assert len(built) == 1 + 9 + 10
+        assert len(built) == 9 + 10
 
 
 class TestProduct:
@@ -347,6 +348,37 @@ class TestAntipode:
         assert wide_atom.is_atomic() and wide_atom.length == MAX_PARTS + 1
         with pytest.raises(ValueError, match="atom of 11 blocks"):
             antipode_factored(wide_atom)
+
+    def test_product_crossing_255_blocks(self):
+        atom = E(P("13.2.4"))
+        assert antipode(E(singletons(254)) * atom) == antipode(atom) * E(singletons(254))
+
+    def test_wide_atom_in_a_later_term(self):
+        wide_atom = P("1,12.2.3.4.5.6.7.8.9.10.11")
+        with pytest.raises(ValueError) as refused:
+            antipode_factored(wide_atom)
+        x = E(P("12.3")) + E(P("1.2")) * E(wide_atom)
+        assert list(x._terms)[1] == _encode(P("1.2").concat(wide_atom))
+        with pytest.raises(ValueError, match=f"^{refused.value}$"):
+            antipode(x)
+
+    def test_each_code_cut_into_atoms_once(self, monkeypatch):
+        calls = collections.Counter()
+        cut = hopf._code_atoms
+
+        def counted(code):
+            calls[code] += 1
+            return cut(code)
+
+        monkeypatch.setattr(hopf, "_code_atoms", counted)
+        x = E(P("13.2.4.57.6")) - 3 * E(P("13.2")) + 2 * NCSymElement.unit()
+        assert antipode(x) == (
+            antipode_oracle(P("13.2.4.57.6"))
+            - 3 * antipode_oracle(P("13.2"))
+            + 2 * NCSymElement.unit()
+        )
+        assert calls and set(calls.values()) == {1}
+        assert calls[_encode(P("13.2.4.57.6"))] == 1
 
     def test_oracle_small_values(self):
         assert antipode_oracle(P("1")) == element(("1", -1))

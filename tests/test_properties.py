@@ -5,9 +5,12 @@ from hypothesis import strategies as st
 
 from ncsym import (
     EMPTY_PARTITION,
+    NCSymElement,
     SetComposition,
     SetPartition,
     Word,
+    antipode,
+    antipode_oracle,
     compositions_of,
     disjoint,
     quasi_shuffle,
@@ -105,6 +108,16 @@ def test_evaluate_weight_and_length_laws(part, data):
     picked = [part.blocks[k - 1] for p in gamma.parts for k in p]
     assert image.weight == sum(len(b) for b in picked)
     assert image.length == len(picked)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(partitions(standard=True, max_weight=6), st.integers(-3, 3)), max_size=4))
+def test_antipode_of_an_element_is_the_sum_of_its_terms(terms):
+    x = NCSymElement(terms)
+    want = NCSymElement.zero()
+    for part, coeff in x.items():
+        want += coeff * antipode_oracle(part)
+    assert antipode(x) == want
 
 
 @settings(max_examples=60)

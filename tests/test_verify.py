@@ -4,15 +4,15 @@ import random
 
 import pytest
 
-from ncsym import setparts, verify
+from ncsym import hopf, setparts, verify
 
 
 def test_each_weight_enumerated_once_per_run(monkeypatch):
-    # The checks share one list per weight.  hall-span hands the Lyndon words
-    # and the dimension to hopf._hall_span, which enumerates nothing;
-    # primitive_space_dimension and lyndon_atom_words, public functions of a
-    # weight, enumerate through hopf's own binding.  The atomic enumeration
-    # case walks growth strings instead of calling atomic_set_partitions.
+    # The checks share one list per weight, hopf's binding included:
+    # hall-span hands that list to the bodies of primitive_space_dimension
+    # and lyndon_atom_words, and their results to hopf._hall_span, which
+    # enumerates nothing.  The atomic enumeration case walks growth strings
+    # instead of calling atomic_set_partitions.
     calls = collections.Counter()
     enumerate_partitions = setparts.set_partitions
 
@@ -21,6 +21,7 @@ def test_each_weight_enumerated_once_per_run(monkeypatch):
         return enumerate_partitions(n)
 
     monkeypatch.setattr(setparts, "set_partitions", counted)
+    monkeypatch.setattr(hopf, "set_partitions", counted)
     results = verify.run_checks(max_weight=3)
     assert len(results) == len(verify.CHECK_NAMES) and all(r.ok for r in results)
     # cardinalities counts Bell(n) for n up to 8; the pools take weights 0..3.
