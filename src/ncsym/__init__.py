@@ -9,6 +9,7 @@ verification sweeps behind the ``ncsym verify`` command.
 from .setparts import (
     EMPTY_COMPOSITION,
     EMPTY_PARTITION,
+    WORK_LIMIT,
     NotationError,
     SetComposition,
     SetPartition,
@@ -32,7 +33,6 @@ from .words import (
     pairing,
     quasi_shuffle,
     restriction_tensor_sum,
-    tree_leaves,
     word_restrict,
 )
 from .hopf import (
@@ -60,6 +60,6 @@ from .hopf import (
     product,
     reduced_coproduct,
 )
-from .linalg import integer_rank, kernel_dimension
+from .linalg import integer_rank
 
 __version__ = "0.1.0"

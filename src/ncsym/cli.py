@@ -4,14 +4,14 @@ The subcommands are declared once, in ``_COMMANDS``.  ``main`` parses with one
 parser, built on its first call and kept for the life of the process.
 
 Exit codes: 0 on success, 1 when ``verify`` finds a failing check, 2 for
-unparseable or invalid input (the message names the offending token), for an
-``enumerate`` predicted to exceed ``ENUMERATE_LIMIT`` values or a
-``coproduct`` predicted to exceed as many splits, for input too
-large to compute (recursion limit or memory exhausted) and for a
-``TypeError`` escaping a command, and 130 when interrupted (Ctrl-C), each
-error with one ``error:`` line on stderr.  When the reader of stdout goes
-away early (``ncsym enumerate partitions 10 | head -1``), the exit code is
-141 (128 + SIGPIPE), with nothing on stderr.
+unparseable or invalid input (the message names the offending token), for a
+call whose predicted count of values, splits, compositions or terms exceeds
+``setparts.WORK_LIMIT`` (``enumerate`` here, every other route in the
+library), for input too large to compute (recursion limit or memory
+exhausted) and for a ``TypeError`` escaping a command, and 130 when
+interrupted (Ctrl-C), each error with one ``error:`` line on stderr.  When
+the reader of stdout goes away early (``ncsym enumerate partitions 10 | head
+-1``), the exit code is 141 (128 + SIGPIPE), with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -30,12 +30,6 @@ from .words import Word
 
 __all__ = ["main", "build_parser"]
 
-WARN_PARTS = 8
-
-# enumerate refuses a kind and size whose predicted count exceeds this, and
-# coproduct a partition with more splits.
-ENUMERATE_LIMIT = 10**6
-
 _STREAMS = {
     "partitions": setparts.set_partitions,
     "atomic": setparts.atomic_set_partitions,
@@ -46,7 +40,7 @@ _STREAMS = {
 
 def _atomic_count(n):
     # A partition is its first atom times the rest: Bell(m) = sum a(k) Bell(m - k).
-    bell, atomic = verify.bell_numbers(n), [0]
+    bell, atomic = setparts.bell_numbers(n), [0]
     for m in range(1, n + 1):
         atomic.append(bell[m] - sum(atomic[k] * bell[m - k] for k in range(1, m)))
     return atomic[n]
@@ -57,10 +51,10 @@ def _atomic_count(n):
 # composition of the rest: sum_j C(n-1, j) Fubini(n-1-j), which the first-part
 # recurrence of Fubini(n - 1) makes 2 Fubini(n - 1) once n >= 2.
 _COUNTS = {
-    "partitions": lambda n: verify.bell_numbers(n)[n],
+    "partitions": lambda n: setparts.bell_numbers(n)[n],
     "atomic": _atomic_count,
-    "compositions": lambda n: verify.fubini_numbers(n)[n],
-    "anchored": lambda n: min(n, 2) * verify.fubini_numbers(n)[n - 1],
+    "compositions": lambda n: setparts.fubini_numbers(n)[n],
+    "anchored": lambda n: min(n, 2) * setparts.fubini_numbers(n)[n - 1],
 }
 
 
@@ -95,15 +89,7 @@ def _cmd_product(args):
 
 
 def _cmd_coproduct(args):
-    part = SetPartition.parse(args.partition)
-    x = NCSymElement.from_partition(part)
-    # r blocks have 2^r splits; over 255 blocks hopf.coproduct refuses first.
-    r = part.length
-    if r <= 255 and 2**r > ENUMERATE_LIMIT:
-        raise ValueError(
-            f"coproduct of {r} blocks: predicted 2^{r} = {2**r} splits (limit {ENUMERATE_LIMIT})"
-        )
-    return hopf.coproduct(x)
+    return hopf.coproduct(_element(args.partition))
 
 
 def _cmd_counit(args):
@@ -111,18 +97,7 @@ def _cmd_counit(args):
 
 
 def _cmd_antipode(args):
-    part = SetPartition.parse(args.partition)
-    # The default route answers every atom it accepts (at most MAX_PARTS
-    # blocks) quickly.  The other two grow with the total block count, so they
-    # warn when they will run a large input (direct refuses over MAX_PARTS).
-    growth = {
-        "direct": "the composition sum grows like the ordered Bell numbers",
-        "oracle": "the coproduct recursion grows exponentially",
-    }.get(args.method)
-    size = part.length
-    if growth and size > WARN_PARTS and (args.method == "oracle" or size <= hopf.MAX_PARTS):
-        print(f"warning: {size} blocks; {growth} and will be slow", file=sys.stderr)
-    return hopf.antipode(NCSymElement.from_partition(part), args.method)
+    return hopf.antipode(_element(args.partition), args.method)
 
 
 def _cmd_primitive(args):
@@ -172,16 +147,13 @@ def _cmd_hall(args):
 
 def _check_enumerable(kind, n):
     """Refuse ``kind`` at size ``n`` if Bell(n) (partitions) or Fubini(n)
-    (compositions) exceeds the limit.  Both are at least 2^(n-1), so the count
-    at n = bit_length + 1 of the limit decides every larger n."""
-    known = min(n, ENUMERATE_LIMIT.bit_length() + 1)
+    (compositions) exceeds the work limit."""
     if kind in ("partitions", "atomic"):
-        name, predicted = "Bell", verify.bell_numbers(known)[-1]
+        name, numbers = "Bell", setparts.bell_numbers
     else:
-        name, predicted = "Fubini", verify.fubini_numbers(known)[-1]
-    if predicted > ENUMERATE_LIMIT:
-        count = f"{name}({n}) {'=' if known == n else '>'} {predicted}"
-        raise ValueError(f"enumerate {kind} {n}: predicted count {count} (limit {ENUMERATE_LIMIT})")
+        name, numbers = "Fubini", setparts.fubini_numbers
+    what, formula = f"enumerate {kind} {n}", f"count {name}({n})"
+    setparts._check_growth(what, formula, lambda m: numbers(m)[-1], n)
 
 
 def _cmd_enumerate(args):
@@ -265,10 +237,10 @@ def build_parser():
         "--method",
         choices=hopf._ANTIPODE_METHODS,
         default="factored",
-        help=f"direct composition sum (at most {hopf.MAX_PARTS} blocks), factored: by "
-        "atoms, each atom's composition sum by first-part recursion, up to 3^r pairs "
-        f"for r blocks (default; at most {hopf.MAX_PARTS} blocks per atom), or the "
-        "oracle recursion",
+        help="direct composition sum (Fubini(r) compositions for r blocks), factored: by "
+        "atoms, each atom's composition sum by first-part recursion, up to 3^r splits for "
+        "an atom of r blocks (default), or the oracle recursion (up to 3^r splits); a "
+        f"predicted count over {setparts.WORK_LIMIT} is refused",
     )
     commands["qshuffle"].add_argument(
         "--left",

@@ -12,6 +12,14 @@ graded-connected recursion used as an independent oracle.  The primitive
 generators, their leading-term order, and the Hall bracket basis of the
 primitive Lie algebra live here too.
 
+Each route predicts its work from the block count r and refuses, before any
+work, a call whose prediction exceeds ``setparts.WORK_LIMIT`` (10^6): 2^r
+splits for each coproduct term, 3^r for each atom on the default route, for
+the oracle and for ``primitive``, Fubini(r) compositions for the full sum,
+and 2 Fubini(r - 1) for the anchored sum.  The default route also refuses a
+product over the atoms whose Π|S(atom)| terms exceed the limit, before it
+multiplies.
+
 The primitive generator of A, the signed sum over the compositions anchored
 at 1, is computed as primitive(A) = sum over the block sets K holding block
 1 of std(A|K) * S(std(A|rest)), with S(empty) = 1.  Proof: split each
@@ -67,12 +75,16 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import math
 
 from .linalg import integer_rank
 from .setparts import (
     SetPartition,
+    _check_growth,
+    _check_work,
     _label,
     anchored_compositions,
+    fubini_numbers,
     set_compositions,
     set_partitions,
 )
@@ -104,11 +116,9 @@ __all__ = [
     "format_tensor",
 ]
 
-# Fubini(10) ~ 1.02e8 summands is the practical wall for the composition-sum
-# formulas, which cap the total block count here; the default antipode route
-# caps each atom's block count instead (3^10 = 59 049 head/tail pairs), which
-# also keeps the labels of its kernel codes below MAX_PARTS.  Larger inputs
-# are rejected rather than left to run for hours.
+# The labels whose split tables are built once (``_TABLES``); a wider code
+# has its higher labels split first, one table at a time (``_all_splits``).
+# Work is limited by ``setparts.WORK_LIMIT`` on predicted counts, not here.
 MAX_PARTS = 10
 
 
@@ -388,17 +398,15 @@ def _all_splits(code):
     """std(A|K) for every label mask K of a code of at most 255 blocks, in
     increasing order of K.
 
-    The tables of the low ``MAX_PARTS`` labels are applied after each split of
-    the higher labels, whose tables are built one at a time: tables in memory
-    stay bounded by 2^MAX_PARTS, however many blocks."""
+    Past ``MAX_PARTS`` labels, the tables of the low labels are applied after
+    each split of the higher labels, whose tables are built one at a time:
+    tables in memory stay bounded by 2^MAX_PARTS, however many blocks."""
     labels = _blocks(code)
-    low = min(labels, MAX_PARTS)
-    highs = range((1 << low) - 1, 1 << labels, 1 << low)  # every low label kept
-    parts = (
-        (code.translate(*_split_table(labels, high)) for high in highs) if labels > low else (code,)
-    )
-    tables = _TABLES[: 1 << low]
-    return [part.translate(*table) for part in parts for table in tables]
+    if labels <= MAX_PARTS:
+        return [code.translate(*table) for table in _TABLES[: 1 << labels]]
+    highs = range((1 << MAX_PARTS) - 1, 1 << labels, 1 << MAX_PARTS)  # every low label kept
+    parts = (code.translate(*_split_table(labels, high)) for high in highs)
+    return [part.translate(*table) for part in parts for table in _TABLES]
 
 
 def coproduct(x):
@@ -408,12 +416,11 @@ def coproduct(x):
     pair (K, L) with K and L disjoint and covering {1..r}, including the
     empty sides.  Each term's splits are taken as byte translates of its code
     (see ``_all_splits``), and equal (head, tail) code pairs are summed in one
-    dict.  Terms of more than 255 blocks are refused, so that every label and
-    block count fits a byte.
+    dict.  A term whose 2^r splits exceed the work limit is refused first
+    (and so is any term past 255 blocks, whose labels would not fit a byte).
     """
-    widest = max(map(_blocks, x._terms), default=0)
-    if widest > 255:
-        raise ValueError(f"partition has {widest} blocks; the coproduct supports at most 255")
+    r = max(map(_blocks, x._terms), default=0)
+    _check_growth(f"coproduct of {r} blocks", f"2^{r}", lambda m: 2**m, r, "splits")
     splits = {}
     for code, coeff in x._terms.items():
         heads = _all_splits(code)
@@ -436,20 +443,15 @@ def _require_standard(part, what):
         raise ValueError(f"{what} requires a standard partition")
 
 
-def _require_small(part):
-    if part.length > MAX_PARTS:
-        raise ValueError(
-            f"partition has {part.length} blocks; composition sums support at most {MAX_PARTS}"
-        )
-
-
 def antipode_direct_terms(part):
     """Uncombined signed terms of the antipode: one per set composition of
-    the block indices, before any cancellation."""
+    the block indices, before any cancellation.  The Fubini(r) compositions
+    of r blocks are checked against the work limit when this is called."""
     _require_standard(part, "antipode")
-    _require_small(part)
-    for gamma in set_compositions(part.length):
-        yield (-1) ** gamma.length, gamma.evaluate(part)
+    r = part.length
+    what = f"antipode_direct of {r} blocks"
+    _check_growth(what, f"Fubini({r})", lambda m: fubini_numbers(m)[m], r, "compositions")
+    return (((-1) ** gamma.length, gamma.evaluate(part)) for gamma in set_compositions(r))
 
 
 def antipode_direct(part):
@@ -478,8 +480,7 @@ def _code_atoms(code):
 
 
 def _kernel():
-    """The default route's antipode on codes whose atoms have at most
-    ``MAX_PARTS`` labels, memoized for one call.
+    """The default route's antipode on codes, memoized for one call.
 
     Returns ``antipode_of(code, pieces=None)``, a dict of codes to
     coefficients, where ``pieces`` may hand over the code's atoms when the
@@ -487,13 +488,14 @@ def _kernel():
     sign)``: sign times the sum over the nonempty label sets K of std(A|K) *
     S(std(A|rest)), K running over the sets holding label 0 only when
     ``anchored``.  Equal (head, tail) splits are combined first; a product is
-    ``head + q`` with q's labels shifted up.  Callers may keep the dicts
-    returned, but not change them.
+    ``head + q`` with q's labels shifted up.  A product of atoms whose
+    Π|S(atom)| terms exceed the work limit is refused before it is
+    multiplied.  Callers may keep the dicts returned, but not change them.
     """
     memo = {b"": {b"": 1}}
 
     def first_part_sum(code, anchored, sign):
-        subs = [code.translate(*table) for table in _TABLES[: 1 << (max(code) + 1)]]
+        subs = _all_splits(code)
         # (std(A|K), std(A|rest)) for each K: the mask of rest is the
         # all-labels mask minus K, which runs down as K runs up; the masks
         # holding label 0 are the odd ones.
@@ -518,12 +520,16 @@ def _kernel():
             got = first_part_sum(code, False, -1)
         else:
             # S(A_t)...S(A_1).  Every term of an atom's antipode has the
-            # atom's block count, so the running product is shifted once per
-            # atom, and no two products of a factor's terms coincide.
-            got = antipode_of(pieces[0], pieces[:1])
+            # atom's block count, so no two products of the factors' terms
+            # coincide, the product has exactly as many terms as the product
+            # of the factors' sizes, and the running product is shifted once
+            # per atom.
+            factors = [antipode_of(piece, [piece]) for piece in pieces]
+            size = math.prod(map(len, factors))
+            _check_work("antipode of a product of atoms", "Π|S(atom)|", size, "terms")
+            got = factors[0]
             blocks = _blocks(pieces[0])
-            for piece in pieces[1:]:
-                factor = antipode_of(piece, [piece])
+            for piece, factor in zip(pieces[1:], factors[1:]):
                 k = _blocks(piece)
                 blocks += k
                 if blocks <= 255:
@@ -544,18 +550,13 @@ def _factored_codes(terms):
     """The default route on a map of codes to coefficients: a new dict of the
     antipode's codes to coefficients.
 
-    Each nonempty code is cut into atoms once, and every atom is checked
-    against ``MAX_PARTS`` before any work; one kernel, and so one memo, serves
-    all the terms.
+    Each nonempty code is cut into atoms once, and the 3^r splits of the
+    widest atom are checked against the work limit before any work; one
+    kernel, and so one memo, serves all the terms.
     """
     atoms = {code: _code_atoms(code) for code in terms if code}
-    for pieces in atoms.values():
-        widest = max(map(_blocks, pieces))
-        if widest > MAX_PARTS:
-            raise ValueError(
-                f"partition has an atom of {widest} blocks; "
-                f"the factored antipode supports atoms of at most {MAX_PARTS}"
-            )
+    r = max(map(_blocks, itertools.chain.from_iterable(atoms.values())), default=0)
+    _check_growth(f"antipode of an atom of {r} blocks", f"3^{r}", lambda m: 3**m, r, "splits")
     antipode_of, _ = _kernel()
     if len(terms) == 1:
         ((code, coeff),) = terms.items()
@@ -582,10 +583,10 @@ def antipode_factored(part):
     construction: a head or tail is one ``bytes.translate`` that ranks the
     kept labels and deletes the other positions, a product is ``head + q``
     with q's labels shifted up, and no partition is built, sorted or checked
-    inside.  Labels stay below ``MAX_PARTS`` inside each atom's recursion
-    whatever the weight, because inputs with an atom of more than
-    ``MAX_PARTS`` blocks are refused before any work; the product over the
-    atoms keys past 255 blocks by a tuple.  This checks the partition and
+    inside.  An input whose widest atom's 3^r splits exceed the work limit
+    (13 blocks or more) is refused before any work, and a product over the
+    atoms with more terms than the limit before it is multiplied; the product
+    keys past 255 blocks by a tuple.  This checks the partition and
     runs the code-level body that the element-level ``antipode`` runs on its
     terms.  Nonempty input required (the element-level wrapper covers the
     unit).
@@ -616,9 +617,12 @@ def antipode_oracle(part):
     coproduct terms with both sides nonempty.  Independent of the
     composition-sum formulas, so it can referee them.  The memo table, keyed
     by codes, only ever inserts, so concurrent duplicated computation is
-    harmless; ``antipode_oracle.cache_info()`` reports it.
+    harmless; ``antipode_oracle.cache_info()`` reports it.  The 3^r splits
+    of r blocks are checked against the work limit first.
     """
     _require_standard(part, "antipode")
+    r = part.length
+    _check_growth(f"antipode_oracle of {r} blocks", f"3^{r}", lambda m: 3**m, r, "splits")
     return NCSymElement._combine(_oracle_codes(_encode(part)).items())
 
 
@@ -654,7 +658,6 @@ def _require_primitive_input(part):
     _require_standard(part, "primitive")
     if part.weight == 0:
         raise ValueError("primitive is undefined on the empty partition")
-    _require_small(part)
 
 
 def primitive(part):
@@ -665,12 +668,15 @@ def primitive(part):
     each anchored composition into its first part K and a composition of the
     rest, whose signed sum is S(std(A|rest)).  Runs on the default route's
     code kernel and its per-call memo: 2^(r-1) head/tail pairs for r blocks,
-    against Fubini(r-1)-sized sums for the anchored compositions.
+    against Fubini(r-1)-sized sums for the anchored compositions, and at
+    most 3^r splits in all, which are checked against the work limit first.
 
     Nonzero (and primitive) exactly when the input is atomic; zero for every
     other nonempty standard partition.  Undefined on the empty partition.
     """
     _require_primitive_input(part)
+    r = part.length
+    _check_growth(f"primitive of {r} blocks", f"3^{r}", lambda m: 3**m, r, "splits")
     _, first_part_sum = _kernel()
     return NCSymElement._wrap(first_part_sum(_encode(part), True, 1))
 
@@ -679,9 +685,12 @@ def _primitive_anchored(part):
     """``primitive`` by the full signed sum over the compositions anchored at
     1: the referee of the first-part route in ``verify`` and the tests."""
     _require_primitive_input(part)
+    r = part.length
+    what, formula = f"_primitive_anchored of {r} blocks", f"2·Fubini({r - 1})"
+    _check_growth(what, formula, lambda m: 2 * fubini_numbers(m)[m], r - 1, "compositions")
     return NCSymElement._combine(
         (_encode(gamma.evaluate(part)), 1 if gamma.length % 2 else -1)
-        for gamma in anchored_compositions(part.length)
+        for gamma in anchored_compositions(r)
     )
 
 

@@ -6,7 +6,7 @@ divisions are exact and arbitrary-precision ints never leave the integers.
 
 from __future__ import annotations
 
-__all__ = ["integer_rank", "kernel_dimension"]
+__all__ = ["integer_rank"]
 
 
 def integer_rank(rows):
@@ -40,12 +40,3 @@ def integer_rank(rows):
             break
     return rank
 
-
-def kernel_dimension(rows, width=None):
-    """Nullity of the matrix; ``width`` names the column count for 0 rows."""
-    m = list(rows)
-    if not m:
-        if width is None:
-            raise ValueError("width needed for a matrix with no rows")
-        return width
-    return len(m[0]) - integer_rank(m)

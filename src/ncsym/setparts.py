@@ -22,11 +22,18 @@ and no token is a proper prefix of a sibling, since separators are not
 digits.  ``atomic_set_partitions`` filters ``set_partitions``, so it keeps
 that order.  ``refinements`` is a product of each part's compositions, all
 of one string length per part, so product order is string order.
+
+``bell_numbers`` and ``fubini_numbers`` count the two enumerations.
+``WORK_LIMIT`` is the package's one work limit, and ``_check_work`` its one
+check: ``cli``'s ``enumerate`` and every route in ``hopf`` predict their
+count of values, splits, compositions or terms and refuse, before any work,
+a call predicted past the limit.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 
 __all__ = [
@@ -42,6 +49,9 @@ __all__ = [
     "compositions_of",
     "anchored_compositions",
     "refinements",
+    "bell_numbers",
+    "fubini_numbers",
+    "WORK_LIMIT",
 ]
 
 
@@ -178,12 +188,16 @@ class _Groups:
 
     def _select(self, indices):
         """Groups selected by 1-based position, unchanged and in their order
-        (``sub_partition``, ``subsequence``)."""
-        picked = sorted(set(indices))
-        for i in picked:
-            if not isinstance(i, int) or not 1 <= i <= len(self.groups):
-                raise ValueError(f"{self._kind} index {i!r} out of range 1..{len(self.groups)}")
-        return self._of(tuple(self.groups[i - 1] for i in picked))
+        (``sub_partition``, ``subsequence``).  A bool or non-int index is
+        named first, in the given order (a set would take True for 1), then
+        the least index out of range."""
+        indices = list(indices)
+        n = len(self.groups)
+        bad = [i for i in indices if not isinstance(i, int) or isinstance(i, bool)]
+        bad = bad or sorted(i for i in indices if not 1 <= i <= n)
+        if bad:
+            raise ValueError(f"{self._kind} index {bad[0]!r} out of range 1..{n}")
+        return self._of(tuple(self.groups[i - 1] for i in sorted(set(indices))))
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
@@ -230,7 +244,7 @@ class SetPartition(_Groups):
 
     def shift(self, k):
         """Add ``k`` to every element, preserving the block structure."""
-        if not isinstance(k, int) or k < 0:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise ValueError(f"shift amount must be a nonnegative integer, got {k!r}")
         return SetPartition._of(tuple(tuple(e + k for e in b) for b in self.blocks))
 
@@ -381,6 +395,50 @@ def _checked_size(n):
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"size must be a nonnegative integer, got {n!r}")
     return n
+
+
+def bell_numbers(n_max):
+    """Bell numbers 0..n_max by the Bell-triangle recurrence."""
+    out = [1]
+    row = [1]
+    for _ in range(n_max):
+        grown = [row[-1]]
+        for v in row:
+            grown.append(grown[-1] + v)
+        row = grown
+        out.append(row[0])
+    return out
+
+
+def fubini_numbers(r_max):
+    """Ordered Bell numbers 0..r_max by the first-part recurrence."""
+    out = [1]
+    for r in range(1, r_max + 1):
+        out.append(sum(math.comb(r, k) * out[r - k] for k in range(1, r + 1)))
+    return out
+
+
+# The one work limit: a call whose predicted count of summands, splits,
+# terms or values exceeds it is refused before it does any work.
+WORK_LIMIT = 10**6
+
+
+def _check_work(what, formula, count, unit="", exact=True):
+    """Refuse a call whose predicted ``count`` exceeds ``WORK_LIMIT``, with
+    ``ValueError("<what>: predicted <formula> = <count> <unit> (limit
+    1000000)")``; ``>`` stands for ``=`` when ``count`` is a lower bound."""
+    if count > WORK_LIMIT:
+        amount = f"{formula} {'=' if exact else '>'} {count}" + (f" {unit}" if unit else "")
+        raise ValueError(f"{what}: predicted {amount} (limit {WORK_LIMIT})")
+
+
+def _check_growth(what, formula, count_of, r, unit=""):
+    """``_check_work`` on ``count_of(r)``, a count that grows with r and is
+    at least 2^(r-1), so over the limit from r = 21 on: past 21 it is read at
+    21, as a lower bound, so that the prediction takes constant time for any
+    r."""
+    known = min(r, WORK_LIMIT.bit_length() + 1)
+    _check_work(what, formula, count_of(known), unit, known == r)
 
 
 def _sequences(others, sep, fixed=0, done=(), group=()):

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import random
 
 from . import hopf, setparts, words
 from .hopf import NCSymElement
-from .setparts import EMPTY_PARTITION, SetComposition, SetPartition
+from .setparts import EMPTY_PARTITION, SetComposition, SetPartition, bell_numbers, fubini_numbers
 from .words import Word
 
 __all__ = [
@@ -66,27 +65,6 @@ class CheckResult:
         self.cases += 1
         if not condition:
             self.failures.append(detail)
-
-
-def bell_numbers(n_max):
-    """Bell numbers 0..n_max by the Bell-triangle recurrence."""
-    out = [1]
-    row = [1]
-    for _ in range(n_max):
-        grown = [row[-1]]
-        for v in row:
-            grown.append(grown[-1] + v)
-        row = grown
-        out.append(row[0])
-    return out
-
-
-def fubini_numbers(r_max):
-    """Ordered Bell numbers 0..r_max by the first-part recurrence."""
-    out = [1]
-    for r in range(1, r_max + 1):
-        out.append(sum(math.comb(r, k) * out[r - k] for k in range(1, r + 1)))
-    return out
 
 
 def quasi_shuffle_count(k, l):

@@ -36,7 +36,6 @@ __all__ = [
     "is_lyndon",
     "lyndon_split",
     "hall_tree",
-    "tree_leaves",
     "bracket_format",
 ]
 
@@ -53,24 +52,19 @@ class Word(_Groups):
         """Parse piped shorthand, e.g. ``"1|3|24"``."""
         return cls._parse(text)
 
-    @classmethod
-    def from_parts(cls, composition):
-        """View a set composition as a word of its parts."""
-        return cls(composition.parts)
-
     def ground(self):
         """Sorted distinct elements: unlike parts, letters may overlap."""
         return tuple(sorted(set().union(*self.letters)))
 
     def prefix(self, i):
         """The first ``i`` letters."""
-        if not 0 <= i <= len(self.letters):
+        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i <= len(self.letters):
             raise ValueError(f"prefix length {i} out of range")
         return Word._of(self.letters[:i])
 
     def suffix(self, i):
         """The letters after position ``i``."""
-        if not 0 <= i <= len(self.letters):
+        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i <= len(self.letters):
             raise ValueError(f"suffix start {i} out of range")
         return Word._of(self.letters[i:])
 
@@ -263,13 +257,6 @@ def hall_tree(word, key=None):
         return word[0]
     u, v = lyndon_split(word, key)
     return hall_tree(u, key), hall_tree(v, key)
-
-
-def tree_leaves(tree):
-    """Leaves of a bracket tree, left to right."""
-    if isinstance(tree, tuple) and len(tree) == 2:
-        return tree_leaves(tree[0]) + tree_leaves(tree[1])
-    return (tree,)
 
 
 def bracket_format(tree, render=str):

@@ -235,3 +235,21 @@ class TestBoundaryStaysStrict:
     )
     def test_words_compositions_and_method_arguments(self, message, thunk):
         _raises(ValueError, message, thunk)
+
+    @pytest.mark.parametrize(
+        "message, thunk",
+        [
+            ("shift amount must be a nonnegative integer, got True", lambda: P("12.3").shift(True)),
+            ("shift amount must be a nonnegative integer, got 1.0", lambda: P("12.3").shift(1.0)),
+            ("block index True out of range 1..2", lambda: P("12.3").sub_partition([True])),
+            ("block index 1.0 out of range 1..2", lambda: P("12.3").sub_partition([1, 1.0])),
+            ("block index '2' out of range 1..2", lambda: P("12.3").sub_partition([3, "2"])),
+            ("part index False out of range 1..2", lambda: C("1|2").subsequence([False])),
+            ("prefix length True out of range", lambda: W("1|2|3").prefix(True)),
+            ("prefix length 1.5 out of range", lambda: W("1|2|3").prefix(1.5)),
+            ("suffix start True out of range", lambda: W("1|2|3").suffix(True)),
+            ("suffix start 1.5 out of range", lambda: W("1|2|3").suffix(1.5)),
+        ],
+    )
+    def test_bool_and_non_int_indices_and_amounts(self, message, thunk):
+        _raises(ValueError, message, thunk)

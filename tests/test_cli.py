@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncsym import SetPartition, cli, hopf, serialize, verify, words
-from ncsym.cli import ENUMERATE_LIMIT, main
+from ncsym.cli import main
+from ncsym.setparts import WORK_LIMIT
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -128,7 +129,7 @@ class TestEnumerateBound:
         code, out, err = run_cli(capsys, "enumerate", *argv)
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
-        assert err == f"error: {message} (limit {ENUMERATE_LIMIT})\n"
+        assert err == f"error: {message} (limit {WORK_LIMIT})\n"
 
     def test_counts_under_the_limit_still_print(self, capsys):
         assert run_cli(capsys, "enumerate", "partitions", "8", "--count")[:2] == (0, "4140\n")
@@ -169,17 +170,17 @@ class TestEnumerateCount:
 
 class TestCoproductBound:
     def test_twenty_blocks_refused_without_splitting(self, capsys, monkeypatch):
-        def no_splits(x):
+        def no_splits(code):
             raise AssertionError("the splits ran")
 
-        monkeypatch.setattr(hopf, "coproduct", no_splits)
+        monkeypatch.setattr(hopf, "_all_splits", no_splits)
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "coproduct", ".".join(map(str, range(1, 21))) + ",")
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
         assert err == (
             f"error: coproduct of 20 blocks: predicted 2^20 = 1048576 splits "
-            f"(limit {ENUMERATE_LIMIT})\n"
+            f"(limit {WORK_LIMIT})\n"
         )
 
     def test_under_the_limit_still_prints(self, capsys):
@@ -209,14 +210,17 @@ class TestAntipodeSizes:
         assert (code, out, err) == (0, "-(1.2.3.4.5.6.7.8.9.10.11,)\n", "")
 
     def test_wide_atom_refused(self, capsys):
-        code, out, err = run_cli(capsys, "antipode", "1,12.2.3.4.5.6.7.8.9.10.11")
+        code, out, err = run_cli(capsys, "antipode", "1,14.2.3.4.5.6.7.8.9.10.11.12.13")
         assert (code, out) == (2, "")
-        assert "atom of 11 blocks" in err
+        assert err == (
+            "error: antipode of an atom of 13 blocks: predicted 3^13 = 1594323 splits "
+            "(limit 1000000)\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ("antipode", "1,12.2.3.4.5.6.7.8.9.10.11"),
+            ("antipode", "1,14.2.3.4.5.6.7.8.9.10.11.12.13"),
             ("antipode", "1.2.3.4.5.6.7.8.9.10.11,", "--method", "direct"),
         ],
     )
@@ -231,13 +235,33 @@ class TestAntipodeSizes:
         assert (code, err) == (0, "")
         assert out.count("(") == 512
 
-    def test_warning_follows_the_method(self, capsys):
+    def test_no_method_warns(self, capsys):
         nine = "1.2.3.4.5.6.7.8.9"
-        assert run_cli(capsys, "antipode", nine)[2] == ""
-        code, _, err = run_cli(capsys, "antipode", nine, "--method", "oracle")
-        assert code == 0
-        assert err.startswith("warning: 9 blocks;")
-        assert "composition sum" not in err
+        for method in ("factored", "oracle"):
+            assert run_cli(capsys, "antipode", nine, "--method", method) == (
+                0,
+                "-(1.2.3.4.5.6.7.8.9)\n",
+                "",
+            )
+        assert run_cli(capsys, "antipode", nine, "--method", "direct") == (
+            2,
+            "",
+            "error: antipode_direct of 9 blocks: predicted Fubini(9) = 7087261 compositions "
+            "(limit 1000000)\n",
+        )
+
+    def test_output_size_refused_before_multiplying(self, capsys):
+        # Sixteen copies of the atom 13.2, whose antipode has 3 terms: 3^16
+        # product terms, far more than memory holds.
+        copies = ".".join(f"{i},{i + 2}.{i + 1}" for i in range(1, 48, 3))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "antipode", copies)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: antipode of a product of atoms: predicted Π|S(atom)| = 43046721 terms "
+            "(limit 1000000)\n"
+        )
 
 
 class TestErrors:
@@ -306,7 +330,9 @@ class TestErrors:
         singletons = ".".join(map(str, range(1, 257))) + ","
         code, out, err = run_cli(capsys, "coproduct", singletons)
         assert (code, out) == (2, "")
-        assert err == "error: partition has 256 blocks; the coproduct supports at most 255\n"
+        assert err == (
+            "error: coproduct of 256 blocks: predicted 2^256 > 2097152 splits (limit 1000000)\n"
+        )
 
     @pytest.mark.parametrize("weight", ["-1", str(verify.MAX_WEIGHT + 1), "99"])
     def test_verify_weight_out_of_range(self, capsys, weight):

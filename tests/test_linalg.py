@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncsym import integer_rank, kernel_dimension
+from ncsym import integer_rank
 
 
 def fraction_rank(rows):
@@ -52,13 +52,6 @@ def test_big_integers_stay_exact():
 def test_ragged_rows_rejected():
     with pytest.raises(ValueError):
         integer_rank([[1, 2], [3]])
-
-
-def test_kernel_dimension():
-    assert kernel_dimension([[1, 2], [2, 4]]) == 1
-    assert kernel_dimension([], width=5) == 5
-    with pytest.raises(ValueError):
-        kernel_dimension([])
 
 
 def test_against_fraction_oracle_on_random_matrices():
