@@ -1,42 +1,45 @@
-"""Exact rank of integer matrices by fraction-free (Bareiss) elimination.
+"""Exact rank of integer matrices by sparse elimination over the integers.
 
-Every intermediate entry is a minor of the original matrix, so the
-divisions are exact and arbitrary-precision ints never leave the integers.
+Rows stay sparse, as ``{column: int}`` maps.  Each row is reduced by the
+stored pivot rows, lowest column first: with a and b the pivot's and the
+row's leading entries divided by their gcd, the row becomes
+a * row - b * pivot, which clears that column and only touches columns to
+its right.  What is left is divided by the gcd of its entries and, if
+anything remains, becomes the pivot of its lowest column.  Every step is an
+integer combination that keeps the row space over the rationals, so the
+number of pivots is the rank, exactly.
 """
 
 from __future__ import annotations
+
+import math
 
 __all__ = ["integer_rank"]
 
 
 def integer_rank(rows):
-    """Rank of a matrix given as a sequence of equal-length int rows."""
-    m = [list(row) for row in rows]
-    if not m:
-        return 0
-    width = len(m[0])
-    for row in m:
-        if len(row) != width:
+    """Rank of a matrix given as equal-length int rows or as {column: int}
+    maps whose columns share one ordered type."""
+    pivots, widths = {}, set()
+    for row in rows:
+        if not hasattr(row, "items"):
+            row = dict(enumerate(row))
+            widths.add(len(row))
+        if len(widths) > 1:
             raise ValueError("rows must all have the same length")
-    rank = 0
-    prev = 1
-    for col in range(width):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        lead = m[rank][col]
-        for i in range(rank + 1, len(m)):
-            factor = m[i][col]
-            row = m[i]
-            for j in range(col + 1, width):
-                value, rem = divmod(lead * row[j] - factor * m[rank][j], prev)
-                assert rem == 0, "fraction-free elimination lost exactness"
-                row[j] = value
-            row[col] = 0
-        prev = lead
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
+        row = {col: v for col, v in row.items() if v}
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                g = math.gcd(*row.values())
+                pivots[col] = {k: v // g for k, v in row.items()}
+                break
+            g = math.gcd(pivot[col], row[col])
+            a, b = pivot[col] // g, row[col] // g
+            if a != 1:
+                row = {k: a * v for k, v in row.items()}
+            for k, v in pivot.items():
+                row[k] = row.get(k, 0) - b * v
+            row = {k: v for k, v in row.items() if v}
+    return len(pivots)

@@ -419,7 +419,7 @@ def check_quasi_shuffle(max_weight, rng, partitions):
 
 def check_unitriangular(max_weight, rng, partitions):
     res = CheckResult("unitriangular")
-    for n in range(1, min(max_weight, 6) + 1):
+    for n in range(1, max_weight + 1):
         basis = sorted(partitions(n), key=hopf.partition_key)
         index = {part: i for i, part in enumerate(basis)}
         for i, part in enumerate(basis):
@@ -436,7 +436,7 @@ def check_unitriangular(max_weight, rng, partitions):
 
 def check_hall_span(max_weight, rng, partitions):
     res = CheckResult("hall-span")
-    for n in range(1, min(max_weight, 6) + 1):
+    for n in range(1, max_weight + 1):
         dim = hopf._primitive_space_dimension(partitions(n))
         lyndon = hopf._lyndon_atom_words(partitions(n))
         res.tally(dim == len(lyndon), f"dimension vs Lyndon count n={n}")

@@ -1,5 +1,8 @@
 import collections
 import itertools
+import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -35,9 +38,13 @@ from ncsym import (
     set_partitions,
 )
 from ncsym.hopf import _ANTIPODE_METHODS, _decode, _encode, _hall_span, _primitive_anchored
+from ncsym.setparts import bell_numbers
 
 P = SetPartition.parse
 E = NCSymElement.from_partition
+
+# Read only: the primitive-rank workload's expected values.
+PRIMITIVE_REFS = Path(__file__).parents[1] / "perfbench" / "refs" / "primitive_rank.json"
 
 
 def element(*pairs):
@@ -436,9 +443,9 @@ class TestAntipode:
         x = 2 * E(P("12.3")) - E(P("1"))
         assert antipode(x) == 2 * antipode_direct(P("12.3")) - antipode_direct(P("1"))
 
-    def test_factored_rejects_empty(self):
-        with pytest.raises(ValueError):
-            antipode_factored(EMPTY_PARTITION)
+    def test_every_route_maps_empty_to_unit(self):
+        for route in (antipode_direct, antipode_factored, antipode_oracle):
+            assert route(EMPTY_PARTITION) == NCSymElement.unit(), route.__name__
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -620,6 +627,34 @@ class TestHallBasis:
     def test_spans(self):
         for n in range(1, 6):
             assert hall_span_check(n)
+
+    def test_dimensions_are_the_free_counts(self):
+        # NCSym is free on the atoms, so its primitive part is the free Lie
+        # algebra on them: prod_n (1 - t^n)^(-p_n) = sum_n Bell(n) t^n
+        # (Reutenauer, Free Lie Algebras, 1993).  Peel the factors off the
+        # Bell series one weight at a time.
+        top = 7
+        series = bell_numbers(top)
+        for n in range(1, top + 1):
+            p_n = series[n]
+            assert primitive_space_dimension(n) == p_n, n
+            for _ in range(p_n):
+                series = [c - (series[i - n] if i >= n else 0) for i, c in enumerate(series)]
+        assert hall_span_check(top)
+
+    def test_perfbench_references_recomputed(self):
+        refs = json.loads(PRIMITIVE_REFS.read_text(encoding="utf-8"))
+        routes = {
+            "primitive_space_dimension": primitive_space_dimension,
+            "lyndon_atom_words": lambda n: [
+                [atom.format() for atom in word] for word in lyndon_atom_words(n)
+            ],
+            "hall_span_check": hall_span_check,
+        }
+        assert len(refs) == 3 * 6
+        for key, value in refs.items():
+            name, n = re.fullmatch(r"(\w+)\((\d+)\)", key).groups()
+            assert routes[name](int(n)) == value, key
 
 
 class TestFormatting:

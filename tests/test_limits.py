@@ -5,7 +5,7 @@ size under it."""
 
 import pytest
 
-from ncsym import NCSymElement, SetPartition, cli, hopf
+from ncsym import NCSymElement, SetPartition, cli, hopf, set_partitions
 from ncsym.cli import main
 
 
@@ -89,6 +89,27 @@ LIBRARY = [
         9,
         "_primitive_anchored of 9 blocks: predicted 2·Fubini(8) = 1091670 compositions",
     ),
+    (
+        "primitive_space_dimension",
+        hopf.primitive_space_dimension,
+        "set_partitions",
+        10,
+        "primitive_space_dimension of weight 10: predicted Σ_A 2^|A| = 4412798 splits",
+    ),
+    (
+        "lyndon_atom_words",
+        hopf.lyndon_atom_words,
+        "set_partitions",
+        12,
+        "lyndon_atom_words of weight 12: predicted Bell(12) = 4213597 partitions",
+    ),
+    (
+        "hall_span_check",
+        hopf.hall_span_check,
+        "set_partitions",
+        10,
+        "hall_span_check of weight 10: predicted Σ_A 2^|A| = 4412798 splits",
+    ),
 ]
 
 
@@ -139,3 +160,10 @@ def test_product_of_atoms_refused_before_multiplying():
     assert str(refused.value) == (
         "antipode of a product of atoms: predicted Π|S(atom)| = 1594323 terms (limit 1000000)"
     )
+
+
+def test_primitive_layer_predicts_its_coproduct_splits():
+    # A001861: 1, 2, 6, 22, 94, ..., 89918 at 8, 610182 at 9, 4412798 at 10.
+    for n in range(8):
+        assert hopf._split_count(n) == sum(2**part.length for part in set_partitions(n))
+    assert [hopf._split_count(n) for n in (8, 9, 10)] == [89918, 610182, 4412798]

@@ -61,3 +61,60 @@ def test_against_fraction_oracle_on_random_matrices():
         cols = rng.randrange(1, 7)
         m = [[rng.randrange(-5, 6) for _ in range(cols)] for _ in range(rows)]
         assert integer_rank(m) == fraction_rank(m)
+
+
+def densified(rows):
+    """Mapping rows as dense rows, one column per key met, in sorted order."""
+    columns = sorted({key for row in rows for key in row})
+    return [[row.get(key, 0) for key in columns] for row in rows]
+
+
+def random_code(rng):
+    """A short restricted growth string, the column key ``hopf`` uses."""
+    code = []
+    for _ in range(rng.randrange(0, 4)):
+        code.append(rng.randrange(0, max(code, default=-1) + 2))
+    return bytes(code)
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        lambda rng: rng.randrange(12),
+        random_code,
+        lambda rng: (random_code(rng), random_code(rng)),
+    ],
+    ids=["int", "bytes", "code-pair"],
+)
+def test_mapping_rows_against_fraction_oracle(key):
+    rng = random.Random(11)
+    for _ in range(200):
+        rows = []
+        for _ in range(rng.randrange(0, 8)):
+            rows.append({key(rng): rng.randrange(-4, 5) for _ in range(rng.randrange(0, 6))})
+        # Integer combinations of earlier rows, which must cancel to zero.
+        for _ in range(rng.randrange(0, 3)):
+            combo = {}
+            for row in rng.sample(rows, min(2, len(rows))):
+                factor = rng.choice((-3, -1, 2))
+                for k, v in row.items():
+                    combo[k] = combo.get(k, 0) + factor * v
+            rows.append(combo)
+        dense = densified(rows)
+        assert integer_rank(rows) == fraction_rank(dense)
+        # The same rows with their columns met in another order.
+        shuffled = []
+        for row in rows:
+            items = list(row.items())
+            rng.shuffle(items)
+            shuffled.append(dict(items))
+        rng.shuffle(shuffled)
+        assert integer_rank(shuffled) == fraction_rank(dense)
+
+
+def test_mapping_rows_cancel_to_zero():
+    rows = [{b"\0": 2, b"\0\1": 4}, {b"\0": -1, b"\0\1": -2}, {b"\0\1": 0}]
+    assert integer_rank(rows) == 1
+    assert integer_rank([{}, {(b"\0", b""): 0}]) == 0
+    big = 10**30
+    assert integer_rank([{0: big, 1: 1}, {0: 1, 1: big}, {0: big + 1, 1: big + 1}]) == 2
