@@ -12,6 +12,15 @@ letter of the left operand.
 validated; words built inside (prefixes, suffixes, quasi-shuffles, pairing
 mates, restrictions) are trusted, made by the shared ``_of``.
 
+``quasi_shuffle``, ``left_quasi_shuffle`` and ``restriction_tensor_sum``
+predict their count of words or compositions and refuse a call over the
+work limit (``setparts.WORK_LIMIT``) before any work.  The restriction sums
+run on ``_restriction_kernel``: element sets are bit masks, the parts of a
+composition are sub-masks, and the memo of unanchored sums is keyed by the
+(left, right) masks of the elements left.  ``restriction_tensor_sum`` makes
+a fresh kernel per call; ``verify``'s restriction-sum check makes one per
+run and hands it all its splits.
+
 The Lyndon helpers (``is_lyndon``, ``lyndon_split``, ``hall_tree``) work on
 any Python sequence of letters, with an optional ``key`` supplying the letter
 order; leaves of a Hall tree are the letters themselves, so letters must not
@@ -20,9 +29,9 @@ be 2-tuples.
 
 from __future__ import annotations
 
-import itertools
+import math
 
-from .setparts import SetComposition, _Groups
+from .setparts import SetComposition, _check_growth, _check_work, _Groups, fubini_numbers
 
 __all__ = [
     "Word",
@@ -97,14 +106,27 @@ def _qshuffle(u, v):
     return out
 
 
+def _delannoy(k, l):
+    """D(k, l) = sum over d of C(k, d)·C(l, d)·2^d, the quasi-shuffles of k
+    and l letters (d merged pairs).  The sum stops at d = 21, whose term
+    alone is over the work limit: exact when min(k, l) <= 21, else a lower
+    bound over the limit, and in constant time for any sizes."""
+    return sum(math.comb(k, d) * math.comb(l, d) << d for d in range(min(k, l, 21) + 1))
+
+
 def quasi_shuffle(u, v):
     """All interleavings of two disjoint words where facing letters may merge.
 
     Recursion on the leading letters a of u and b of v: keep a, merge a with
     b into one letter, or keep b; a word of the empty word shuffles to itself.
+    The D(k, l) words are checked against the work limit first, so 9 + 9
+    letters and up are refused.
     """
     if not disjoint(u, v):
         raise ValueError("quasi-shuffle operands must be disjoint words")
+    k, l = u.length, v.length
+    what = f"quasi_shuffle of {k} and {l} letters"
+    _check_work(what, f"D({k},{l})", _delannoy(k, l), "words", min(k, l) <= 21)
     return _qshuffle(u, v)
 
 
@@ -113,12 +135,17 @@ def left_quasi_shuffle(u, v):
 
     Only the first two branches of the quasi-shuffle recursion, applied once;
     the tails run through full quasi-shuffles.  Operands must be nonempty and
-    disjoint.
+    disjoint.  The D(k-1, l) + D(k-1, l-1) words are checked against the
+    work limit first, so 10 + 10 letters and up are refused.
     """
     if not u.letters or not v.letters:
         raise ValueError("left quasi-shuffle needs nonempty operands")
     if not disjoint(u, v):
         raise ValueError("quasi-shuffle operands must be disjoint words")
+    k, l = u.length, v.length
+    what = f"left_quasi_shuffle of {k} and {l} letters"
+    count = _delannoy(k - 1, l) + _delannoy(k - 1, l - 1)
+    _check_work(what, f"D({k - 1},{l}) + D({k - 1},{l - 1})", count, "words", min(k - 1, l) <= 21)
     a, b = u.letters[0], v.letters[0]
     out = set()
     _build(a, _qshuffle(u.suffix(1), v), out)
@@ -168,11 +195,16 @@ def restriction_tensor_sum(r, keep_left, keep_right):
     (-1)^length to the tensor key (gamma restricted to ``keep_left``, gamma
     restricted to ``keep_right``); returns the combined nonzero terms.
     Requires ``keep_left`` to be a proper subset containing 1 and the two
-    sets to split {1..r} disjointly.  Summed by first parts (see
-    ``_signed_restrictions``), not by enumerating the compositions.
+    sets to split {1..r} disjointly.  Summed by first parts on a fresh
+    ``_restriction_kernel``, not by enumerating the compositions; the
+    2·Fubini(r-1) anchored compositions are checked against the work limit
+    first, so r = 9 and up are refused.
     """
-    left = frozenset(keep_left)
-    right = frozenset(keep_right)
+    what, formula = f"restriction_tensor_sum of {r} elements", f"2·Fubini({r - 1})"
+    # Checked before the sets, so that no size builds a set of {1..r}; a
+    # size under 2 passes here and is refused below.
+    _check_growth(what, formula, lambda m: 2 * fubini_numbers(m)[m], max(r - 1, 0), "compositions")
+    left, right = frozenset(keep_left), frozenset(keep_right)
     full = frozenset(range(1, r + 1))
     if 1 not in left:
         raise ValueError("the left part must contain 1")
@@ -180,45 +212,57 @@ def restriction_tensor_sum(r, keep_left, keep_right):
         raise ValueError("the left part must be a proper subset")
     if left & right or (left | right) != full:
         raise ValueError(f"parts must split {{1..{r}}} disjointly")
-    found = _signed_restrictions(tuple(range(1, r + 1)), left, right, anchored=True)
+    found = _restriction_kernel(r)(_mask(left), _mask(right), True)
     return {(Word._of(u), Word._of(v)): c for (u, v), c in found.items()}
 
 
-def _signed_restrictions(elems, left, right, anchored=False):
-    """Sum of (-1)^length (gamma|left, gamma|right) over the set compositions
-    gamma of the sorted tuple ``elems``, or over those whose first part holds
-    ``elems[0]`` when ``anchored``; ``left`` and ``right`` split the elements.
+def _mask(elements):
+    """The bit mask of a set of positive integers: bit e - 1 for element e."""
+    return sum(1 << (e - 1) for e in elements)
 
-    Keys are pairs of letter tuples, and zero sums are dropped.  Splitting
-    gamma into its first part K and a composition of the rest gives
-    -sum over K of (K & left, K & right) prepended to T(rest), where T is the
-    unanchored sum, memoized for this call on the tuple of elements left.
+
+def _restriction_kernel(r):
+    """Signed restriction sums over the set compositions of subsets of
+    {1..r}, on element masks (see ``_mask``), memoized for the kernel's life.
+
+    Returns ``signed_sum(left, right, anchored)``: the sum of (-1)^length
+    (gamma|left, gamma|right) over the set compositions gamma of the elements
+    of the disjoint masks ``left`` and ``right``, or over those whose first
+    part holds the least of them when ``anchored``.  Keys are pairs of letter
+    tuples, and zero sums are dropped.  Splitting gamma into its first part K
+    and a composition of the rest gives -sum over K of (K & left, K & right)
+    prepended to T(rest), where T is the unanchored sum.  T is memoized on
+    the (left, right) masks of the elements left, which fix it whatever split
+    they came from, so one kernel may serve many splits.  Parts are the
+    sub-masks of the elements left, and each side's letter is read from a
+    table of the 2^r masks.  Callers may keep the dicts returned, but not
+    change them.
     """
-    memo = {(): {((), ()): 1}}
+    # The one-letter prefix of each mask: () for the empty mask.
+    prefix = [(tuple(e + 1 for e in range(r) if mask >> e & 1),) for mask in range(1 << r)]
+    prefix[0] = ()
+    memo = {(0, 0): {((), ()): 1}}
 
-    def first_part_sum(elems, anchored):
-        head, tail = (elems[:1], elems[1:]) if anchored else ((), elems)
+    def signed_sum(left, right, anchored):
+        elems = left | right
+        # Anchored, only the parts holding the least element count.
+        anchor = elems & -elems if anchored else 0
         acc = {}
-        for size in range(not anchored, len(tail) + 1):
-            for extra in itertools.combinations(tail, size):
-                part = head + extra
-                on_left = tuple(e for e in part if e in left)
-                on_right = tuple(e for e in part if e in right)
-                first_u = (on_left,) if on_left else ()
-                first_v = (on_right,) if on_right else ()
-                rest = tuple(e for e in tail if e not in extra)
-                for (u, v), c in unanchored(rest).items():
+        part = elems
+        while part:
+            if part & anchor == anchor:
+                first_u, first_v = prefix[part & left], prefix[part & right]
+                rest = (left & ~part, right & ~part)
+                tails = memo.get(rest)
+                if tails is None:
+                    tails = memo[rest] = signed_sum(*rest, False)
+                for (u, v), c in tails.items():
                     key = (first_u + u, first_v + v)
                     acc[key] = acc.get(key, 0) - c
+            part = (part - 1) & elems
         return {key: c for key, c in acc.items() if c}
 
-    def unanchored(elems):
-        got = memo.get(elems)
-        if got is None:
-            got = memo[elems] = first_part_sum(elems, False)
-        return got
-
-    return first_part_sum(tuple(elems), anchored)
+    return signed_sum
 
 
 def is_lyndon(word, key=None):

@@ -393,6 +393,13 @@ class TestGolden:
         assert code == 0
         assert out == (GOLDEN / "antipode_13_2_4_factored.txt").read_bytes()
 
+    def test_verify_w5_json_golden(self):
+        # The whole report at seed 0, every check's case count included; the
+        # JSON form carries no timestamp.
+        code, out = self.run_bytes("verify", "--max-weight", "5", "--format", "json")
+        assert code == 0
+        assert out == (GOLDEN / "verify_w5.json").read_bytes()
+
     def test_verify_deterministic_modulo_timestamp(self):
         runs = [
             self.run_bytes("verify", "--max-weight", "3")[1].splitlines()

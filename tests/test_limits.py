@@ -5,7 +5,7 @@ size under it."""
 
 import pytest
 
-from ncsym import NCSymElement, SetPartition, cli, hopf, set_partitions
+from ncsym import NCSymElement, SetPartition, Word, cli, hopf, set_partitions, words
 from ncsym.cli import main
 
 
@@ -28,6 +28,17 @@ def atom(r):
 
 def element(part):
     return NCSymElement.from_partition(part)
+
+
+def one_letter_words(k, l):
+    """The words 1|2|...|k and (k+1)|...|(k+l) of one-element letters, in
+    the extended form."""
+    spans = ((1, k + 1), (k + 1, k + l + 1))
+    return tuple("|".join(map(str, range(a, b))) + "," for a, b in spans)
+
+
+def quasi_shuffle_of(shuffle):
+    return lambda k: shuffle(*map(Word.parse, one_letter_words(k, k)))
 
 
 # (entry point, call on a size, inner step patched in hopf, first size over
@@ -113,16 +124,73 @@ LIBRARY = [
 ]
 
 
+# The same for the entry points in words.
+WORDS = [
+    (
+        "restriction_tensor_sum",
+        lambda r: words.restriction_tensor_sum(r, {1}, set(range(2, r + 1))),
+        "_restriction_kernel",
+        9,
+        "restriction_tensor_sum of 9 elements: predicted 2·Fubini(8) = 1091670 compositions",
+    ),
+    (
+        "quasi_shuffle",
+        quasi_shuffle_of(words.quasi_shuffle),
+        "_qshuffle",
+        9,
+        "quasi_shuffle of 9 and 9 letters: predicted D(9,9) = 1462563 words",
+    ),
+    (
+        "left_quasi_shuffle",
+        quasi_shuffle_of(words.left_quasi_shuffle),
+        "_qshuffle",
+        10,
+        "left_quasi_shuffle of 10 and 10 letters: predicted D(9,10) + D(9,9) = 4780008 words",
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "call, step, size, message", [row[1:] for row in LIBRARY], ids=[row[0] for row in LIBRARY]
+    "module, call, step, size, message",
+    [(hopf, *row[1:]) for row in LIBRARY] + [(words, *row[1:]) for row in WORDS],
+    ids=[row[0] for row in LIBRARY + WORDS],
 )
-def test_library_refuses_before_the_inner_step(monkeypatch, call, step, size, message):
-    monkeypatch.setattr(hopf, step, reached)
+def test_library_refuses_before_the_inner_step(monkeypatch, module, call, step, size, message):
+    monkeypatch.setattr(module, step, reached)
     with pytest.raises(ValueError) as refused:
         call(size)
     assert str(refused.value) == f"{message} (limit 1000000)"
     with pytest.raises(Reached):
         call(size - 1)
+
+
+def test_words_predict_in_constant_time(monkeypatch):
+    # Past 21 the counts are read as lower bounds, so no size is too large
+    # to refuse at once, and no set of {1..r} is built first.
+    monkeypatch.setattr(words, "_restriction_kernel", reached)
+    monkeypatch.setattr(words, "_qshuffle", reached)
+    u, v = map(Word.parse, one_letter_words(30, 40))
+    calls = [
+        (
+            lambda: words.restriction_tensor_sum(10**9, {1}, set()),
+            "restriction_tensor_sum of 1000000000 elements: predicted 2·Fubini(999999999)"
+            " > 162249649997008147763642 compositions",
+        ),
+        (
+            lambda: words.quasi_shuffle(u, v),
+            "quasi_shuffle of 30 and 40 letters: predicted D(30,40)"
+            " > 16878228622583731000413777 words",
+        ),
+        (
+            lambda: words.left_quasi_shuffle(u, v),
+            "left_quasi_shuffle of 30 and 40 letters: predicted D(29,40) + D(29,39)"
+            " > 9236934507284651307103392 words",
+        ),
+    ]
+    for call, message in calls:
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == f"{message} (limit 1000000)"
 
 
 # (kind, first size over the limit, its predicted count).
@@ -147,6 +215,24 @@ def test_enumerate_refuses_before_the_stream(capsys, monkeypatch, kind, size, co
     )
     with pytest.raises(Reached):
         main(["enumerate", kind, str(size - 1), *flags])
+
+
+# (flags, first size over the limit on each side, the library's message).
+QSHUFFLE = [
+    ((), 9, WORDS[1][-1]),
+    (("--left",), 10, WORDS[2][-1]),
+]
+
+
+@pytest.mark.parametrize("flags, size, message", QSHUFFLE, ids=["qshuffle", "qshuffle--left"])
+def test_qshuffle_refuses_before_the_recursion(capsys, monkeypatch, flags, size, message):
+    monkeypatch.setattr(words, "_qshuffle", reached)
+    assert main(["qshuffle", *one_letter_words(size, size), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message} (limit 1000000)\n"
+    with pytest.raises(Reached):
+        main(["qshuffle", *one_letter_words(size - 1, size - 1), *flags])
 
 
 def test_product_of_atoms_refused_before_multiplying():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -18,7 +19,7 @@ from ncsym import (
     word_restrict,
 )
 from ncsym.setparts import anchored_compositions, compositions_of
-from ncsym.words import _signed_restrictions
+from ncsym.words import _mask, _restriction_kernel
 
 W = Word.parse
 
@@ -169,10 +170,44 @@ class TestRestriction:
                     key = (gamma.restrict(left).parts, gamma.restrict(right).parts)
                     want[key] = want.get(key, 0) + (-1) ** gamma.length
                 want = {key: c for key, c in want.items() if c}
-                got = _signed_restrictions(elems, left, right)
+                got = _restriction_kernel(r)(_mask(left), _mask(right), False)
                 assert got == want and got
                 splits += 1
         assert splits == 62
+
+    def test_one_kernel_shared_across_splits(self):
+        # One kernel, and so one memo, for every split of {1..r}, r <= 5,
+        # visited with r descending and the left sets shuffled, anchored and
+        # unanchored interleaved: each sum equals the brute force over the
+        # compositions, and each anchored one restriction_tensor_sum's value
+        # from a fresh kernel, so the shared memo leaks nothing between
+        # splits.
+        rng = random.Random(0)
+        signed_sum = _restriction_kernel(5)
+        visits = {False: 0, True: 0}
+        for r in range(5, 0, -1):
+            full = (1 << r) - 1
+            splits = [(mask, False) for mask in range(1 << r)]
+            splits += [(mask, True) for mask in range(1, full, 2)]
+            rng.shuffle(splits)
+            compositions = list(compositions_of(range(1, r + 1)))
+            for mask, anchored in splits:
+                left = frozenset(e for e in range(1, r + 1) if mask >> (e - 1) & 1)
+                right = frozenset(range(1, r + 1)) - left
+                want = {}
+                for gamma in compositions:
+                    if anchored and 1 not in gamma.parts[0]:
+                        continue
+                    key = (gamma.restrict(left).parts, gamma.restrict(right).parts)
+                    want[key] = want.get(key, 0) + (-1) ** gamma.length
+                want = {key: c for key, c in want.items() if c}
+                got = signed_sum(mask, full ^ mask, anchored)
+                assert got == want
+                if anchored:
+                    words_got = {(Word(u), Word(v)): c for (u, v), c in got.items()}
+                    assert words_got == restriction_tensor_sum(r, left, right)
+                visits[anchored] += 1
+        assert visits == {False: 62, True: 26}
 
     def test_tensor_sum_validation(self):
         with pytest.raises(ValueError):
