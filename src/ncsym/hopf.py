@@ -51,10 +51,12 @@ restricted-growth condition, so equal partitions have equal codes and
 nothing needs sorting.  A code is ``bytes`` up to 255 blocks and a tuple of
 the same ints past that, so every partition has exactly one code (a tuple
 never equals ``bytes``); ``_encode`` and the product ``_concat`` are where
-tuples arise.  Keeping the blocks of a label set and standardizing is one
-``bytes.translate`` that ranks the kept labels and deletes the other
-positions (``_TABLES``, built once); the product appends the second code
-with its labels shifted up by the first's block count.
+tuples arise.  The 2^r splits std(A|K) of a code come from one loop over
+its labels, highest first, in which every split so far either keeps the
+label or drops it: one ``bytes.translate`` that deletes the label's
+positions and moves every higher label down by one (``_all_splits``).  The
+product appends the second code with its labels shifted up by the first's
+block count.
 
 ``NCSymElement`` and ``TensorElement`` share one private base,
 ``_Combination`` (arithmetic, equality, hash, text form), whose terms are
@@ -121,9 +123,7 @@ __all__ = [
     "format_tensor",
 ]
 
-# The labels whose split tables are built once (``_TABLES``); a wider code
-# has its higher labels split first, one table at a time (``_all_splits``).
-# Work is limited by ``setparts.WORK_LIMIT`` on predicted counts, not here.
+# Read by no route: kept because ``perfbench/regen_refs.py`` gates ``direct`` on it.
 MAX_PARTS = 10
 
 
@@ -151,10 +151,9 @@ def _blocks(code):
     return max(code, default=-1) + 1
 
 
-# _SHIFT[k] adds k to every label byte, _UNSHIFT[k] subtracts it.
+# _SHIFT[k] adds k to every label byte, and _SHIFT[-k] subtracts it.
 _IDENTITY = bytes(range(256))
 _SHIFT = [_IDENTITY[k:] + _IDENTITY[:k] for k in range(256)]
-_UNSHIFT = [_SHIFT[-k] for k in range(256)]
 
 
 def _concat(x, y):
@@ -370,48 +369,21 @@ def product(x, y):
     return x * y
 
 
-def _split_tables(labels):
-    """Per label mask K below 2^labels: the table that ranks K's labels and
-    the bytes of the labels outside K, so that ``code.translate(*tables[K])``
-    is std(A|K) for any code with at most ``labels`` labels (the labels it
-    lacks only sit in the delete sets).  A label past ``labels`` is
-    shifted down to follow K's labels, so a code whose higher labels were
-    already split (``_all_splits``) keeps them in order."""
-    ranks, drops = [b""], [b""]
-    for label in range(labels):
-        # A label's rank under mask K is the number of K's labels below it.
-        ranks = [
-            r + _IDENTITY[label - len(d) : label - len(d) + 1] for r, d in zip(ranks, drops)
-        ] * 2
-        drops = [d + _IDENTITY[label : label + 1] for d in drops] + drops
-    return [(r + _IDENTITY[labels - len(d) : 256 - len(d)], d) for r, d in zip(ranks, drops)]
-
-
-# The split tables of every code, built once: 2^MAX_PARTS pairs, about 270 KB.
-_TABLES = _split_tables(MAX_PARTS)
-
-
-def _split_table(labels, mask):
-    """The translate arguments that keep the labels in ``mask``, ranked, and
-    delete the others: one table, built alone."""
-    kept = bytes(label for label in range(labels) if mask >> label & 1)
-    drop = bytes(label for label in range(labels) if not mask >> label & 1)
-    return bytes.maketrans(kept, bytes(range(len(kept)))), drop
+# _DROP[l] deletes label l and moves every higher label down by one.
+_DROP = [(_IDENTITY[: l + 1] + _IDENTITY[l:255], _IDENTITY[l : l + 1]) for l in range(256)]
 
 
 def _all_splits(code):
-    """std(A|K) for every label mask K of a code of at most 255 blocks, in
-    increasing order of K.
+    """std(A|K) for every label set K of a code of at most 255 blocks: entry
+    i keeps label l exactly when bit (r - 1 - l) of i is set, for r labels.
 
-    Past ``MAX_PARTS`` labels, the tables of the low labels are applied after
-    each split of the higher labels, whose tables are built one at a time:
-    tables in memory stay bounded by 2^MAX_PARTS, however many blocks."""
-    labels = _blocks(code)
-    if labels <= MAX_PARTS:
-        return [code.translate(*table) for table in _TABLES[: 1 << labels]]
-    highs = range((1 << MAX_PARTS) - 1, 1 << labels, 1 << MAX_PARTS)  # every low label kept
-    parts = (code.translate(*_split_table(labels, high)) for high in highs)
-    return [part.translate(*table) for part in parts for table in _TABLES]
+    Built from the highest label down, each split either dropping the label
+    or keeping it, so the complement of entry i is entry 2^r - 1 - i and the
+    sets holding label 0 are the second half."""
+    splits = [code]
+    for table, drop in reversed(_DROP[: _blocks(code)]):
+        splits = [c.translate(table, drop) for c in splits] + splits
+    return splits
 
 
 def coproduct(x):
@@ -429,8 +401,8 @@ def coproduct(x):
     splits = {}
     for code, coeff in x._terms.items():
         heads = _all_splits(code)
-        # The tail of label mask K is the head of its complement, which runs
-        # down as K runs up.
+        # The tail of entry i is the head of its complement, entry 2^r - 1 - i,
+        # which runs down as i runs up.
         for pair in zip(heads, reversed(heads)):
             splits[pair] = splits.get(pair, 0) + coeff
     return TensorElement._wrap(splits)
@@ -477,10 +449,10 @@ def _code_atoms(code):
     for label in range(1, max(code) + 1):
         first = code.find(label)
         if first > reach:
-            pieces.append(code[start:first].translate(_UNSHIFT[base]))
+            pieces.append(code[start:first].translate(_SHIFT[-base]))
             start, base = first, label
         reach = max(reach, code.rfind(label))
-    pieces.append(code[start:].translate(_UNSHIFT[base]))
+    pieces.append(code[start:].translate(_SHIFT[-base]))
     return pieces
 
 
@@ -501,12 +473,12 @@ def _kernel():
 
     def first_part_sum(code, anchored, sign):
         subs = _all_splits(code)
-        # (std(A|K), std(A|rest)) for each K: the mask of rest is the
-        # all-labels mask minus K, which runs down as K runs up; the masks
-        # holding label 0 are the odd ones.
-        step = 2 if anchored else 1
+        # (std(A|K), std(A|rest)) for each nonempty K: rest is the mirrored
+        # entry, and the sets holding label 0 are the second half.
+        half = len(subs) // 2
+        pairs = zip(subs[half:], subs[half - 1 :: -1]) if anchored else zip(subs[1:], subs[-2::-1])
         out = {}
-        for (head, tail), coeff in collections.Counter(zip(subs[1::step], subs[-2::-step])).items():
+        for (head, tail), coeff in collections.Counter(pairs).items():
             shift = _SHIFT[max(head) + 1]
             coeff *= sign
             # A memo hit skips the call: no antipode is empty.
@@ -585,15 +557,15 @@ def antipode_factored(part):
     3^r head/tail pairs and a many-atom input the sum of its atoms' costs.
 
     The whole route runs on codes (see ``_encode``), which are canonical by
-    construction: a head or tail is one ``bytes.translate`` that ranks the
-    kept labels and deletes the other positions, a product is ``head + q``
-    with q's labels shifted up, and no partition is built, sorted or checked
-    inside.  An input whose widest atom's 3^r splits exceed the work limit
-    (13 blocks or more) is refused before any work, and a product over the
-    atoms with more terms than the limit before it is multiplied; the product
-    keys past 255 blocks by a tuple.  This checks the partition and
-    runs the code-level body that the element-level ``antipode`` runs on its
-    terms; the empty partition gives the unit.
+    construction: the heads and tails are byte translates of the code
+    (``_all_splits``), a product is ``head + q`` with q's labels shifted up,
+    and no partition is built, sorted or checked inside.  An input whose
+    widest atom's 3^r splits exceed the work limit (13 blocks or more) is
+    refused before any work, and a product over the atoms with more terms
+    than the limit before it is multiplied; the product keys past 255 blocks
+    by a tuple.  This checks the partition and runs the code-level body that
+    the element-level ``antipode`` runs on its terms; the empty partition
+    gives the unit.
     """
     _require_standard(part, "antipode")
     return NCSymElement._wrap(_factored_codes({_encode(part): 1}))

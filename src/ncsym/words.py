@@ -86,23 +86,32 @@ def disjoint(u, v):
     return not set(u.ground()).intersection(v.ground())
 
 
-def _build(first, tails, out):
-    for tail in tails:
-        word = Word._of((first,) + tail.letters)
-        assert word not in out, "quasi-shuffle produced a duplicate word"
-        out.add(word)
+def _qshuffle(u, v, left=False):
+    """The set of quasi-shuffles of u and v, or with ``left`` only those
+    whose first letter holds u's first letter.
 
-
-def _qshuffle(u, v):
-    if not u.letters:
-        return {v}
-    if not v.letters:
-        return {u}
-    a, b = u.letters[0], v.letters[0]
+    A depth-first walk over (letters of u used, letters of v used, word so
+    far): each step keeps u's next letter a, merges a with v's next letter b,
+    or keeps b, and a word is made once one side has no letters left.  Each
+    word is built once along its own path, so the work follows the D(k, l)
+    words that the limit predicts, and nothing but the words is kept.
+    """
+    x, y = u.letters, v.letters
     out = set()
-    _build(a, _qshuffle(u.suffix(1), v), out)
-    _build(tuple(sorted(a + b)), _qshuffle(u.suffix(1), v.suffix(1)), out)
-    _build(b, _qshuffle(u, v.suffix(1)), out)
+
+    def walk(i, j, word):
+        if i == len(x) or j == len(y):
+            word = Word._of(word + x[i:] + y[j:])
+            assert word not in out, "quasi-shuffle produced a duplicate word"
+            out.add(word)
+            return
+        a, b = x[i], y[j]
+        walk(i + 1, j, word + (a,))
+        walk(i + 1, j + 1, word + (tuple(sorted(a + b)),))
+        if word or not left:
+            walk(i, j + 1, word + (b,))
+
+    walk(0, 0, ())
     return out
 
 
@@ -130,27 +139,27 @@ def quasi_shuffle(u, v):
     return _qshuffle(u, v)
 
 
-def left_quasi_shuffle(u, v):
-    """The quasi-shuffles whose first letter contains the first letter of u.
-
-    Only the first two branches of the quasi-shuffle recursion, applied once;
-    the tails run through full quasi-shuffles.  Operands must be nonempty and
-    disjoint.  The D(k-1, l) + D(k-1, l-1) words are checked against the
-    work limit first, so 10 + 10 letters and up are refused.
-    """
+def _check_left_operands(u, v):
     if not u.letters or not v.letters:
         raise ValueError("left quasi-shuffle needs nonempty operands")
     if not disjoint(u, v):
         raise ValueError("quasi-shuffle operands must be disjoint words")
+
+
+def left_quasi_shuffle(u, v):
+    """The quasi-shuffles whose first letter contains the first letter of u.
+
+    The quasi-shuffle walk without its third branch (keep v's letter) at the
+    first step; past it the walk runs in full.  Operands must be nonempty and
+    disjoint.  The D(k-1, l) + D(k-1, l-1) words are checked against the
+    work limit first, so 10 + 10 letters and up are refused.
+    """
+    _check_left_operands(u, v)
     k, l = u.length, v.length
     what = f"left_quasi_shuffle of {k} and {l} letters"
     count = _delannoy(k - 1, l) + _delannoy(k - 1, l - 1)
     _check_work(what, f"D({k - 1},{l}) + D({k - 1},{l - 1})", count, "words", min(k - 1, l) <= 21)
-    a, b = u.letters[0], v.letters[0]
-    out = set()
-    _build(a, _qshuffle(u.suffix(1), v), out)
-    _build(tuple(sorted(a + b)), _qshuffle(u.suffix(1), v.suffix(1)), out)
-    return out
+    return _qshuffle(u, v, True)
 
 
 def pairing(w, u, v):
@@ -158,11 +167,34 @@ def pairing(w, u, v):
 
     A fixed-point-free involution on the left quasi-shuffles of (u, v) that
     changes the letter count by exactly one, so paired words carry opposite
-    length parities.
+    length parities.  Membership is decided by one walk along w, without
+    building the left quasi-shuffles.
     """
-    if w not in left_quasi_shuffle(u, v):
+    _check_left_operands(u, v)
+    if not (isinstance(w, Word) and _is_left_quasi_shuffle(w, u, v)):
         raise ValueError("word is not a left quasi-shuffle of the given pair")
     return _pairing(w, v)
+
+
+def _is_left_quasi_shuffle(w, u, v):
+    """True when w is a left quasi-shuffle of the nonempty disjoint words u
+    and v: each letter of w is u's next letter a, v's next letter b (not
+    first), or a merged with b, and both words are used up.  As u and v share
+    no element, at most one of the three matches, so the walk never branches.
+    Each word ends in an empty letter, which matches no letter of w: past
+    its end a merge is the other word's letter, which is tested first."""
+    x, y = u.letters + ((),), v.letters + ((),)
+    i = j = 0
+    for letter in w.letters:
+        if letter == x[i]:
+            i += 1
+        elif letter == y[j] and i:
+            j += 1
+        elif letter == tuple(sorted(x[i] + y[j])):
+            i, j = i + 1, j + 1
+        else:
+            return False
+    return i == len(u.letters) and j == len(v.letters)
 
 
 def _pairing(w, v):

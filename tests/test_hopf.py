@@ -8,7 +8,6 @@ import pytest
 
 from ncsym import (
     EMPTY_PARTITION,
-    MAX_PARTS,
     NCSymElement,
     SetPartition,
     TensorElement,
@@ -164,6 +163,20 @@ class TestCodeKeys:
         assert antipode(x * E(P("13.2"))) == antipode(E(P("13.2"))) * x
         assert str(-x) == f"-({part.format()})"
 
+    def test_split_entries_follow_the_label_bits(self):
+        # Entry i of _all_splits keeps label l exactly when bit (r - 1 - l)
+        # of i is set: coproduct pairs i with its mirror 2^r - 1 - i, and
+        # first_part_sum reads the sets holding label 0 as the second half.
+        parts = [part for n in range(7) for part in set_partitions(n)]
+        parts += [P("1,12.2.3.4.5.6.7.8.9.10.11"), P("1,14.2,11.3.4.5.6.7.8.9.10.12.13")]
+        for part in parts:
+            r = part.length
+            got = hopf._all_splits(_encode(part))
+            assert len(got) == 2**r
+            for i, split in enumerate(got):
+                kept = [block for l, block in enumerate(part.blocks) if i >> (r - 1 - l) & 1]
+                assert split == _encode(SetPartition(kept).standardize())
+
     def test_no_output_partition_built_before_items(self, monkeypatch):
         multi_atom, nine_blocks = E(P("13.2.4.57.6")), E(P("1.2.3.4.5.6.7.8.9"))
         built = []
@@ -237,10 +250,9 @@ class TestCoproduct:
         assert got.coefficient((P("12"), P("1"))) == 0
         assert len(got.items()) == 6
 
-    def test_more_blocks_than_one_table_set(self):
-        # 12 blocks: the high labels are split before the low tables apply.
+    def test_twelve_blocks(self):
         part = P("1,10.2,5.3.4,7.6,15.8.9.11.12,16.13.14.17")
-        assert part.length == MAX_PARTS + 2
+        assert part.length == 12
         assert coproduct(E(part)) == coproduct_by_block_combinations(E(part))
 
     def test_refuses_more_than_255_blocks(self):
@@ -340,14 +352,14 @@ class TestAntipode:
 
     def test_ten_block_crossing_chain(self):
         chain = P("1,3.2,5.4,7.6,9.8,11.10,13.12,15.14,17.16,19.18,20")
-        assert chain.is_atomic() and chain.length == MAX_PARTS
+        assert chain.is_atomic() and chain.length == 10
         s = antipode_factored(chain)
         assert len(s.items()) == 512
         assert s == antipode_oracle(chain)
 
     def test_many_atoms_past_the_block_cap(self):
         singletons = P("1.2.3.4.5.6.7.8.9.10.11,")
-        assert singletons.length > MAX_PARTS
+        assert singletons.length > 10
         assert antipode(E(singletons)) == -E(singletons)
 
     def test_default_route_caps_each_atom(self):
@@ -358,11 +370,10 @@ class TestAntipode:
             antipode_factored(wide_atom)
 
     def test_atoms_of_eleven_and_twelve_blocks(self):
-        # Wider than the prebuilt split tables: the kernel splits the high
-        # labels first, as the coproduct does.
+        # 11 and 12 blocks: 3^12 splits are still inside the work limit.
         for text in ("1,12.2.3.4.5.6.7.8.9.10.11", "1,14.2,11.3.4.5.6.7.8.9.10.12.13"):
             atom = P(text)
-            assert atom.is_atomic() and atom.length > MAX_PARTS
+            assert atom.is_atomic() and atom.length > 10
             assert antipode_factored(atom) == antipode_oracle(atom)
 
     def test_product_crossing_255_blocks(self):
@@ -501,9 +512,9 @@ class TestPrimitive:
         assert reduced_coproduct(primitive(P("13.2"))).is_zero()
         assert reduced_coproduct(primitive(P("123"))).is_zero()
 
-    def test_atom_wider_than_the_split_tables(self):
+    def test_atom_of_eleven_blocks(self):
         atom = P("1,12.2.3.4.5.6.7.8.9.10.11")
-        assert atom.is_atomic() and atom.length == MAX_PARTS + 1
+        assert atom.is_atomic() and atom.length == 11
         p = primitive(atom)
         assert reduced_coproduct(p).is_zero()
         assert leading_term(p) == (atom, 1)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -17,6 +18,7 @@ from ncsym import (
     quasi_shuffle,
     restriction_tensor_sum,
     word_restrict,
+    words,
 )
 from ncsym.setparts import anchored_compositions, compositions_of
 from ncsym.words import _mask, _restriction_kernel
@@ -26,6 +28,34 @@ W = Word.parse
 
 def words_of(texts):
     return {W(t) for t in texts}
+
+
+def suffix_recursion(u, v):
+    """The quasi-shuffles by recursion on the leading letters, each pair of
+    suffixes rebuilt once per path that reaches it."""
+    if not u.letters:
+        return {v}
+    if not v.letters:
+        return {u}
+    a, b = u.letters[0], v.letters[0]
+    merged = tuple(sorted(a + b))
+    steps = ((a, u.suffix(1), v), (merged, u.suffix(1), v.suffix(1)), (b, u, v.suffix(1)))
+    return {Word((first,) + w.letters) for first, x, y in steps for w in suffix_recursion(x, y)}
+
+
+# Disjoint pairs of words, some whose own letters overlap.
+PAIRS = [
+    (W("1|3"), W("24")),
+    (W("1|1"), W("2")),
+    (W("12|23"), W("4|45")),
+    (W("3|1|3"), W("2|2")),
+    (W("5"), W("1|2|3")),
+]
+
+
+def one_element_letters(k, l):
+    """1|3|...|2k-1 and 2|4|...|2l: merged letters need their sort."""
+    return Word((2 * i - 1,) for i in range(1, k + 1)), Word((2 * j,) for j in range(1, l + 1))
 
 
 class TestWordBasics:
@@ -98,6 +128,24 @@ class TestQuasiShuffle:
         u, v = W("1|3"), W("24")
         assert left_quasi_shuffle(u, v) <= quasi_shuffle(u, v)
 
+    def test_walk_equals_the_suffix_recursion(self):
+        pairs = PAIRS + [one_element_letters(k, l) for k in range(4) for l in range(4)]
+        for u, v in pairs:
+            full = suffix_recursion(u, v)
+            assert quasi_shuffle(u, v) == full
+            if u.letters and v.letters:
+                head = set(u.letters[0])
+                assert left_quasi_shuffle(u, v) == {w for w in full if head <= set(w.letters[0])}
+
+    def test_eight_and_eight_letters_in_well_under_five_seconds(self):
+        # Rebuilding each pair of suffixes per path took about 5 s on this; one
+        # walk builds each of the D(7,8) + D(7,7) words once.
+        u, v = one_element_letters(8, 8)
+        start = time.perf_counter()
+        left = left_quasi_shuffle(u, v)
+        assert time.perf_counter() - start < 2.5
+        assert len(left) == 157184
+
 
 class TestPairing:
     def test_merge_case(self):
@@ -114,6 +162,41 @@ class TestPairing:
     def test_rejects_non_member(self):
         with pytest.raises(ValueError):
             pairing(W("24|1|3"), W("1|3"), W("24"))
+
+    def test_membership_agrees_with_the_built_set(self):
+        message = "^word is not a left quasi-shuffle of the given pair$"
+        for u, v in PAIRS:
+            left = left_quasi_shuffle(u, v)
+            candidates = set(quasi_shuffle(u, v)) | {EMPTY_WORD, u, v}
+            candidates |= {Word(reversed(w.letters)) for w in left}
+            candidates |= {w.prefix(w.length - 1) for w in left}
+            for w in candidates:
+                if w in left:
+                    assert pairing(w, u, v) == words._pairing(w, v)
+                else:
+                    with pytest.raises(ValueError, match=message):
+                        pairing(w, u, v)
+            with pytest.raises(ValueError, match=message):
+                pairing(str(min(left, key=Word.sort_key)), u, v)
+
+    def test_operand_errors_come_first(self):
+        with pytest.raises(ValueError, match="^left quasi-shuffle needs nonempty operands$"):
+            pairing(W("12|3"), EMPTY_WORD, W("12"))
+        with pytest.raises(ValueError, match="^quasi-shuffle operands must be disjoint words$"):
+            pairing(W("24|1|3"), W("12"), W("23"))
+
+    def test_eight_and_eight_letters_without_the_set(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("pairing built the quasi-shuffles")
+
+        monkeypatch.setattr(words, "_qshuffle", built)
+        u, v = one_element_letters(8, 8)
+        w = Word(u.letters + v.letters)
+        start = time.perf_counter()
+        mate = pairing(w, u, v)
+        assert time.perf_counter() - start < 0.1
+        assert mate == Word(u.letters[:-1] + ((2, 15),) + v.letters[1:])
+        assert pairing(mate, u, v) == w
 
 
 class TestRestriction:
