@@ -36,7 +36,6 @@ from .words import (
     word_restrict,
 )
 from .hopf import (
-    MAX_PARTS,
     NCSymElement,
     TensorElement,
     antipode,

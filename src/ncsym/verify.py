@@ -11,6 +11,11 @@ Partition sweeps are exhaustive through weight 5 and fall back to seeded
 random samples above that, so reports are reproducible byte for byte for a
 fixed seed.  ``run_checks`` enumerates each weight's partitions once and
 hands the lists to every check it runs.
+
+A check is a generator over ``(max_weight, rng, partitions)`` that yields
+one ``(condition, detail)`` pair per case.  Adding a check means writing it
+and adding one ``(name, generator)`` row to ``_CHECKS``; ``_tallied`` turns
+each row into the ``CheckResult`` that ``run_checks`` returns.
 """
 
 from __future__ import annotations
@@ -38,9 +43,9 @@ __all__ = [
 EXHAUSTIVE_CAP = 5
 # Largest accepted max_weight.  At 7 every seed's full run takes seconds (the
 # worst sample, the 7-block partition, needs 47 293 compositions in
-# antipode-methods); at 8 a sampled 8-block partition needs 545 835, over a
-# minute, and each sampled weight's Bell(n) partitions are enumerated once
-# per run.
+# antipode-methods); at 8 a sampled 8-block partition needs 545 835, about
+# half a minute, and the work limit refuses ``direct`` from 9 blocks.  Each
+# sampled weight's Bell(n) partitions are enumerated once per run.
 MAX_WEIGHT = 7
 SAMPLE_PARTITIONS = 12
 SAMPLE_PAIRS = 20
@@ -130,65 +135,62 @@ def _pair_pool(max_weight, rng, partitions):
 
 
 def check_cardinalities(max_weight, rng, partitions):
-    res = CheckResult("cardinalities")
     bells = bell_numbers(8)
     for n in range(0, 9):
-        res.tally(
+        yield (
             len(partitions(n)) == bells[n],
             f"partition count n={n}",
         )
-        res.tally(growth_string_count(n) == bells[n], f"growth-string count n={n}")
+        yield growth_string_count(n) == bells[n], f"growth-string count n={n}"
     fubini = fubini_numbers(7)
     for r in range(0, 8):
-        res.tally(
+        yield (
             sum(1 for _ in setparts.set_compositions(r)) == fubini[r],
             f"composition count r={r}",
         )
     for n in range(1, 7):
         walked = filter(SetPartition.is_atomic, _growth_string_partitions(n))
         filtered = [p for p in partitions(n) if p.is_atomic()]
-        res.tally(
+        yield (
             sorted(walked, key=SetPartition.sort_key) == filtered,
             f"atomic enumeration n={n}",
         )
-    return res
 
 
 def check_combinatorics(max_weight, rng, partitions):
-    res = CheckResult("combinatorics")
     for part in _partition_pool(max_weight, rng, partitions):
-        res.tally(SetPartition.parse(part.format()) == part, f"roundtrip {part!r}")
-        res.tally(
+        yield SetPartition.parse(part.format()) == part, f"roundtrip {part!r}"
+        yield (
             SetPartition.parse(part.format("extended")) == part,
             f"extended roundtrip {part!r}",
         )
         std = part.standardize()
         for k in (0, 1, 4):
-            res.tally(
+            yield (
                 part.shift(k).standardize() == std, f"shift/standardize {part!r} k={k}"
             )
         atoms = part.atoms()
         refolded = EMPTY_PARTITION
         for atom in atoms:
-            res.tally(atom.is_atomic(), f"non-atomic factor of {part!r}")
+            yield atom.is_atomic(), f"non-atomic factor of {part!r}"
             refolded = refolded.concat(atom)
-        res.tally(refolded == part, f"atom refold {part!r}")
-        res.tally(
+        yield refolded == part, f"atom refold {part!r}"
+        yield (
             part.is_atomic() == (len(atoms) == 1), f"atomicity consistency {part!r}"
         )
         if part.length:
             whole = SetComposition((tuple(range(1, part.length + 1)),))
-            res.tally(whole.evaluate(part) == part, f"identity evaluation {part!r}")
+            yield whole.evaluate(part) == part, f"identity evaluation {part!r}"
     for r in range(0, min(max_weight, 4) + 1):
         comps = list(setparts.set_compositions(r))
         for gamma in comps:
-            res.tally(SetComposition.parse(gamma.format()) == gamma, f"roundtrip {gamma!r}")
-            res.tally(gamma.refines(gamma), f"reflexivity {gamma!r}")
+            yield SetComposition.parse(gamma.format()) == gamma, f"roundtrip {gamma!r}"
+            yield gamma.refines(gamma), f"reflexivity {gamma!r}"
             if gamma.length:
-                res.tally(
+                yield (
                     gamma.restrict(gamma.ground()) == gamma, f"full restrict {gamma!r}"
                 )
-                res.tally(
+                yield (
                     gamma.subsequence(range(1, gamma.length + 1)) == gamma,
                     f"full subsequence {gamma!r}",
                 )
@@ -199,19 +201,17 @@ def check_combinatorics(max_weight, rng, partitions):
             if a.refines(b)
         }
         antisym = all(i == j for (i, j) in relation if (j, i) in relation)
-        res.tally(antisym, f"antisymmetry r={r}")
+        yield antisym, f"antisymmetry r={r}"
         closed = all(
             (i, k) in relation
             for (i, j) in relation
             for (j2, k) in relation
             if j2 == j
         )
-        res.tally(closed, f"transitivity r={r}")
-    return res
+        yield closed, f"transitivity r={r}"
 
 
 def check_coassociativity(max_weight, rng, partitions):
-    res = CheckResult("coassociativity")
     for part in _partition_pool(max_weight, rng, partitions):
         delta = hopf.coproduct(NCSymElement.from_partition(part))
         first = {}
@@ -225,137 +225,117 @@ def check_coassociativity(max_weight, rng, partitions):
                 second[key] = second.get(key, 0) + c * c2
         first = {k: v for k, v in first.items() if v}
         second = {k: v for k, v in second.items() if v}
-        res.tally(first == second, f"coassociativity {part!r}")
-    return res
+        yield first == second, f"coassociativity {part!r}"
 
 
 def check_counit_laws(max_weight, rng, partitions):
-    res = CheckResult("counit-laws")
     for part in _partition_pool(max_weight, rng, partitions):
         x = NCSymElement.from_partition(part)
         delta = hopf.coproduct(x)
         left = NCSymElement((q, c) for (p, q), c in delta.items() if p.weight == 0)
         right = NCSymElement((p, c) for (p, q), c in delta.items() if q.weight == 0)
-        res.tally(left == x, f"left counit law {part!r}")
-        res.tally(right == x, f"right counit law {part!r}")
-    return res
+        yield left == x, f"left counit law {part!r}"
+        yield right == x, f"right counit law {part!r}"
 
 
 def check_cocommutativity(max_weight, rng, partitions):
-    res = CheckResult("cocommutativity")
     for part in _partition_pool(max_weight, rng, partitions):
         delta = hopf.coproduct(NCSymElement.from_partition(part))
-        res.tally(delta.twist() == delta, f"cocommutativity {part!r}")
-    return res
+        yield delta.twist() == delta, f"cocommutativity {part!r}"
 
 
 def check_bialgebra(max_weight, rng, partitions):
-    res = CheckResult("bialgebra")
     for left, right in _pair_pool(max_weight, rng, partitions):
         x = NCSymElement.from_partition(left)
         y = NCSymElement.from_partition(right)
-        res.tally(
+        yield (
             hopf.coproduct(x * y) == hopf.coproduct(x) * hopf.coproduct(y),
             f"compatibility {left!r} {right!r}",
         )
-    return res
 
 
 def check_antipode_convolution(max_weight, rng, partitions):
-    res = CheckResult("antipode-convolution")
     S = functools.cache(lambda part: hopf.antipode(NCSymElement.from_partition(part)))
     identity = NCSymElement.from_partition
     for part in _partition_pool(max_weight, rng, partitions):
         expected = NCSymElement.unit() if part.weight == 0 else NCSymElement.zero()
-        res.tally(
+        yield (
             hopf.convolve(S, identity, part) == expected, f"left inverse {part!r}"
         )
-        res.tally(
+        yield (
             hopf.convolve(identity, S, part) == expected, f"right inverse {part!r}"
         )
-    return res
 
 
 def check_antipode_methods(max_weight, rng, partitions):
-    res = CheckResult("antipode-methods")
     for part in _partition_pool(max_weight, rng, partitions):
         x = NCSymElement.from_partition(part)
         direct = hopf.antipode(x, "direct")
         factored = hopf.antipode(x, "factored")
         oracle = hopf.antipode(x, "oracle")
-        res.tally(direct == factored == oracle, f"method agreement {part!r}")
-    return res
+        yield direct == factored == oracle, f"method agreement {part!r}"
 
 
 def check_antipode_antimorphism(max_weight, rng, partitions):
-    res = CheckResult("antipode-antimorphism")
     S = functools.cache(lambda part: hopf.antipode(NCSymElement.from_partition(part)))
     for left, right in _pair_pool(max_weight, rng, partitions):
         x = NCSymElement.from_partition(left)
         y = NCSymElement.from_partition(right)
-        res.tally(
+        yield (
             hopf.antipode(x * y) == S(right) * S(left),
             f"antimorphism {left!r} {right!r}",
         )
-    return res
 
 
 def check_antipode_involution(max_weight, rng, partitions):
-    res = CheckResult("antipode-involution")
     for part in _partition_pool(max_weight, rng, partitions):
         x = NCSymElement.from_partition(part)
-        res.tally(hopf.antipode(hopf.antipode(x)) == x, f"involution {part!r}")
-    return res
+        yield hopf.antipode(hopf.antipode(x)) == x, f"involution {part!r}"
 
 
 def check_grading(max_weight, rng, partitions):
-    res = CheckResult("grading")
     for part in _partition_pool(max_weight, rng, partitions):
         x = NCSymElement.from_partition(part)
         delta = hopf.coproduct(x)
-        res.tally(
+        yield (
             all(p.weight + q.weight == part.weight for (p, q), _ in delta.items()),
             f"coproduct grading {part!r}",
         )
         s = hopf.antipode(x)
-        res.tally(
+        yield (
             s.is_homogeneous() and s.weights() == [part.weight],
             f"antipode grading {part!r}",
         )
         if part.weight:
             p = hopf.primitive(part)
-            res.tally(
+            yield (
                 p.is_zero() or (p.is_homogeneous() and p.weights() == [part.weight]),
                 f"primitive grading {part!r}",
             )
     for left, right in _pair_pool(max_weight, rng, partitions):
         x = NCSymElement.from_partition(left) * NCSymElement.from_partition(right)
-        res.tally(
+        yield (
             x.weights() == [left.weight + right.weight],
             f"product grading {left!r} {right!r}",
         )
-    return res
 
 
 def check_primitives(max_weight, rng, partitions):
-    res = CheckResult("primitives")
     for part in _partition_pool(max_weight, rng, partitions):
         if part.weight == 0:
             continue
         p = hopf.primitive(part)
-        res.tally(p == hopf._primitive_anchored(part), f"anchored-sum referee {part!r}")
+        yield p == hopf._primitive_anchored(part), f"anchored-sum referee {part!r}"
         if part.is_atomic():
-            res.tally(
+            yield (
                 hopf.reduced_coproduct(p).is_zero(), f"reduced coproduct {part!r}"
             )
-            res.tally(hopf.leading_term(p) == (part, 1), f"leading term {part!r}")
+            yield hopf.leading_term(p) == (part, 1), f"leading term {part!r}"
         else:
-            res.tally(p.is_zero(), f"vanishing {part!r}")
-    return res
+            yield p.is_zero(), f"vanishing {part!r}"
 
 
 def check_restriction_sum(max_weight, rng, partitions):
-    res = CheckResult("restriction-sum")
     # One kernel for all the splits: its memo is keyed by the element masks
     # left on each side, which fix the sum whatever split they came from.
     signed_sum = words._restriction_kernel(EXHAUSTIVE_CAP)
@@ -363,25 +343,23 @@ def check_restriction_sum(max_weight, rng, partitions):
         for size in range(1, r):
             for extra in itertools.combinations(range(2, r + 1), size - 1):
                 left = words._mask((1,) + extra)
-                res.tally(
+                yield (
                     signed_sum(left, (1 << r) - 1 - left, True) == {},
                     f"vanishing sum r={r} K={[1, *extra]}",
                 )
-    return res
 
 
 def check_quasi_shuffle(max_weight, rng, partitions):
-    res = CheckResult("quasi-shuffle")
     for k in range(0, 5):
         for l in range(0, 5):
             u = Word((i,) for i in range(1, k + 1))
             v = Word((k + j,) for j in range(1, l + 1))
             full = words.quasi_shuffle(u, v)
-            res.tally(
+            yield (
                 len(full) == quasi_shuffle_count(k, l), f"cardinality k={k} l={l}"
             )
             if k <= 3 and l <= 3 and k and l:
-                res.tally(
+                yield (
                     all(
                         words.word_restrict(w, u.ground()) == u
                         and words.word_restrict(w, v.ground()) == v
@@ -392,11 +370,11 @@ def check_quasi_shuffle(max_weight, rng, partitions):
             if not (k and l):
                 continue
             left = words.left_quasi_shuffle(u, v)
-            res.tally(left <= full, f"left subset k={k} l={l}")
+            yield left <= full, f"left subset k={k} l={l}"
             expected = quasi_shuffle_count(k - 1, l) + quasi_shuffle_count(k - 1, l - 1)
-            res.tally(len(left) == expected, f"left cardinality k={k} l={l}")
+            yield len(left) == expected, f"left cardinality k={k} l={l}"
             head = set(u.letters[0])
-            res.tally(
+            yield (
                 all(head <= set(w.letters[0]) for w in left),
                 f"first letter k={k} l={l}",
             )
@@ -413,13 +391,11 @@ def check_quasi_shuffle(max_weight, rng, partitions):
                 ):
                     involution_ok = False
                 parity += (-1) ** w.length
-            res.tally(involution_ok, f"pairing involution k={k} l={l}")
-            res.tally(parity == 0, f"signed sum k={k} l={l}")
-    return res
+            yield involution_ok, f"pairing involution k={k} l={l}"
+            yield parity == 0, f"signed sum k={k} l={l}"
 
 
 def check_unitriangular(max_weight, rng, partitions):
-    res = CheckResult("unitriangular")
     # Each atom's primitive once per run, looked up in ``hopf`` at call time.
     primitive = functools.cache(lambda atom: hopf.primitive(atom))
     for n in range(1, max_weight + 1):
@@ -429,41 +405,54 @@ def check_unitriangular(max_weight, rng, partitions):
             combo = NCSymElement.unit()
             for atom in part.atoms():
                 combo = combo * primitive(atom)
-            res.tally(combo.coefficient(part) == 1, f"unit diagonal {part!r}")
-            res.tally(
+            yield combo.coefficient(part) == 1, f"unit diagonal {part!r}"
+            yield (
                 all(index[q] >= i for q, c in combo.items() if c),
                 f"triangularity {part!r}",
             )
-    return res
 
 
 def check_hall_span(max_weight, rng, partitions):
-    res = CheckResult("hall-span")
     for n in range(1, max_weight + 1):
         dim = hopf._primitive_space_dimension(partitions(n))
         lyndon = hopf._lyndon_atom_words(partitions(n))
-        res.tally(dim == len(lyndon), f"dimension vs Lyndon count n={n}")
-        res.tally(hopf._hall_span(n, lyndon, dim), f"hall span n={n}")
-    return res
+        yield dim == len(lyndon), f"dimension vs Lyndon count n={n}"
+        yield hopf._hall_span(n, lyndon, dim), f"hall span n={n}"
 
 
-_CHECKS = (
-    ("cardinalities", check_cardinalities),
-    ("combinatorics", check_combinatorics),
-    ("coassociativity", check_coassociativity),
-    ("counit-laws", check_counit_laws),
-    ("cocommutativity", check_cocommutativity),
-    ("bialgebra", check_bialgebra),
-    ("antipode-convolution", check_antipode_convolution),
-    ("antipode-methods", check_antipode_methods),
-    ("antipode-antimorphism", check_antipode_antimorphism),
-    ("antipode-involution", check_antipode_involution),
-    ("grading", check_grading),
-    ("primitives", check_primitives),
-    ("restriction-sum", check_restriction_sum),
-    ("quasi-shuffle", check_quasi_shuffle),
-    ("unitriangular", check_unitriangular),
-    ("hall-span", check_hall_span),
+def _tallied(name, cases):
+    """The check ``name`` as ``run_checks`` calls it: a ``CheckResult`` that
+    tallies each ``(condition, detail)`` the generator ``cases`` yields."""
+
+    def check(max_weight, rng, partitions):
+        res = CheckResult(name)
+        for condition, detail in cases(max_weight, rng, partitions):
+            res.tally(condition, detail)
+        return res
+
+    return check
+
+
+_CHECKS = tuple(
+    (name, _tallied(name, cases))
+    for name, cases in (
+        ("cardinalities", check_cardinalities),
+        ("combinatorics", check_combinatorics),
+        ("coassociativity", check_coassociativity),
+        ("counit-laws", check_counit_laws),
+        ("cocommutativity", check_cocommutativity),
+        ("bialgebra", check_bialgebra),
+        ("antipode-convolution", check_antipode_convolution),
+        ("antipode-methods", check_antipode_methods),
+        ("antipode-antimorphism", check_antipode_antimorphism),
+        ("antipode-involution", check_antipode_involution),
+        ("grading", check_grading),
+        ("primitives", check_primitives),
+        ("restriction-sum", check_restriction_sum),
+        ("quasi-shuffle", check_quasi_shuffle),
+        ("unitriangular", check_unitriangular),
+        ("hall-span", check_hall_span),
+    )
 )
 
 CHECK_NAMES = tuple(name for name, _ in _CHECKS)

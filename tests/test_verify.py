@@ -28,6 +28,22 @@ def test_each_weight_enumerated_once_per_run(monkeypatch):
     assert calls == {n: 1 for n in range(9)}
 
 
+def test_one_runner_tallies_what_a_check_yields(monkeypatch):
+    def cases(max_weight, rng, partitions):
+        yield True, "a"
+        yield False, "b"
+        yield True, "c"
+
+    stub = ("stub", verify._tallied("stub", cases))
+    monkeypatch.setattr(verify, "_CHECKS", verify._CHECKS + (stub,))
+    [result] = verify.run_checks(max_weight=2, names=["stub"])
+    assert (result.name, result.cases, result.failures, result.ok) == ("stub", 3, ["b"], False)
+
+
+def test_results_come_in_table_order():
+    assert [r.name for r in verify.run_checks(max_weight=2)] == list(verify.CHECK_NAMES)
+
+
 def pair_pool_by_list(max_weight, rng, partitions):
     """``_pair_pool`` as it was, sampling a list of every candidate pair: the
     referee of the index-decoding sampler."""
