@@ -61,15 +61,20 @@ block count.
 ``NCSymElement`` and ``TensorElement`` share one private base,
 ``_Combination`` (arithmetic, equality, hash, text form), whose terms are
 keyed by codes: one per ``NCSymElement`` term, a pair per ``TensorElement``
-term.  Partitions are made only at the boundary.  The public constructors
-(which ``serialize`` decodes through), ``from_partition``, ``pure`` and
-``coefficient`` encode their partitions, after the checks; ``items``,
-``support``, the text forms and the maps handed to ``convolve`` decode each
-distinct code once per call.  Sums, products, coproducts, antipodes and
-primitives stay codes and are trusted: ``_Combination._combine`` and
-``_wrap`` build them without re-checking.  The default antipode runs from an
-element's codes to its kernel (``_factored_codes``) without a partition;
-only the ``direct`` and ``oracle`` referees take each term as a partition.
+term.  Partitions are made only at the boundary, and every entry point that
+takes one checks and encodes it through ``_basis_code``, the one input
+check: the public constructors (which ``serialize`` decodes through),
+``from_partition``, ``pure``, the antipode routes, ``primitive`` and
+``_primitive_anchored``; ``coefficient`` answers 0 for a key it refuses.
+``items``, ``support``, the text forms and the maps handed to ``convolve``
+decode each distinct code once per call.  Sums, products, coproducts,
+antipodes and primitives stay codes and are trusted: ``_Combination._combine``
+and ``_wrap`` build them without re-checking.  The coproduct's splits are
+summed on codes (``_coproduct_codes``), which ``reduced_coproduct`` and the
+oracle read directly, with no element in between.  The default antipode runs
+from an element's codes to its kernel (``_factored_codes``) without a
+partition; only the ``direct`` and ``oracle`` referees take each term as a
+partition.
 
 Everything is exact: coefficients are Python ints, and the primitive-space
 dimensions come from sparse elimination over the integers on the
@@ -181,20 +186,6 @@ def _tensor_code(pair):
     return _basis_code(pair[0]), _basis_code(pair[1])
 
 
-def _lookup_code(part):
-    """Code of a standard partition; any other argument comes back in a
-    1-tuple, which hashes it as a dict lookup would and equals no code."""
-    if isinstance(part, SetPartition) and part.is_standard():
-        return _encode(part)
-    return (part,)
-
-
-def _tensor_lookup(pair):
-    if isinstance(pair, tuple) and len(pair) == 2:
-        return _lookup_code(pair[0]), _lookup_code(pair[1])
-    return (pair,)
-
-
 def _summed(pairs):
     data = {}
     for key, coeff in pairs:
@@ -245,7 +236,13 @@ class _Combination:
         return cls()
 
     def coefficient(self, key):
-        return self._terms.get(self._lookup(key), 0)
+        """The coefficient of ``key``; 0 for a key no term could have.  An
+        unhashable key raises ``TypeError``, as a dict lookup would."""
+        hash(key)
+        try:
+            return self._terms.get(self._key_code(key), 0)
+        except (TypeError, ValueError):
+            return 0
 
     def support(self):
         return [key for key, _ in self.items()]
@@ -309,7 +306,6 @@ class NCSymElement(_Combination):
 
     __slots__ = ()
     _key_code = staticmethod(_basis_code)
-    _lookup = staticmethod(_lookup_code)
     _sort_key = staticmethod(SetPartition.sort_key)
     _key_product = staticmethod(_concat)
 
@@ -337,7 +333,6 @@ class TensorElement(_Combination):
 
     __slots__ = ()
     _key_code = staticmethod(_tensor_code)
-    _lookup = staticmethod(_tensor_lookup)
 
     def _decoded(self):
         """The terms as ((left, right), coefficient) pairs, unsorted, each
@@ -385,6 +380,23 @@ def _all_splits(code):
     return splits
 
 
+def _coproduct_codes(terms):
+    """The coproduct on a map of codes to coefficients: a new dict of (head,
+    tail) code pairs to coefficients, which may hold zeros.  A term whose 2^r
+    splits exceed the work limit is refused first (and so is any term past
+    255 blocks, whose labels would not fit a byte)."""
+    r = max(map(_blocks, terms), default=0)
+    _check_growth(f"coproduct of {r} blocks", f"2^{r}", lambda m: 2**m, r, "splits")
+    splits = {}
+    for code, coeff in terms.items():
+        heads = _all_splits(code)
+        # The tail of entry i is the head of its complement, entry 2^r - 1 - i,
+        # which runs down as i runs up.
+        for pair in zip(heads, reversed(heads)):
+            splits[pair] = splits.get(pair, 0) + coeff
+    return splits
+
+
 def coproduct(x):
     """Sum of standardized block splits over ordered disjoint index unions.
 
@@ -392,19 +404,9 @@ def coproduct(x):
     pair (K, L) with K and L disjoint and covering {1..r}, including the
     empty sides.  Each term's splits are taken as byte translates of its code
     (see ``_all_splits``), and equal (head, tail) code pairs are summed in one
-    dict.  A term whose 2^r splits exceed the work limit is refused first
-    (and so is any term past 255 blocks, whose labels would not fit a byte).
+    dict (``_coproduct_codes``), which refuses a term past the work limit.
     """
-    r = max(map(_blocks, x._terms), default=0)
-    _check_growth(f"coproduct of {r} blocks", f"2^{r}", lambda m: 2**m, r, "splits")
-    splits = {}
-    for code, coeff in x._terms.items():
-        heads = _all_splits(code)
-        # The tail of entry i is the head of its complement, entry 2^r - 1 - i,
-        # which runs down as i runs up.
-        for pair in zip(heads, reversed(heads)):
-            splits[pair] = splits.get(pair, 0) + coeff
-    return TensorElement._wrap(splits)
+    return TensorElement._wrap(_coproduct_codes(x._terms))
 
 
 def counit(x):
@@ -412,19 +414,11 @@ def counit(x):
     return x._terms.get(b"", 0)
 
 
-def _require_standard(part, what):
-    if not isinstance(part, SetPartition):
-        raise TypeError(f"{what} expects a SetPartition")
-    if not part.is_standard():
-        raise ValueError(f"{what} requires a standard partition")
-
-
 def antipode_direct_terms(part):
     """Uncombined signed terms of the antipode: one per set composition of
     the block indices, before any cancellation.  The Fubini(r) compositions
     of r blocks are checked against the work limit when this is called."""
-    _require_standard(part, "antipode")
-    r = part.length
+    r = _blocks(_basis_code(part))
     what = f"antipode_direct of {r} blocks"
     _check_growth(what, f"Fubini({r})", lambda m: fubini_numbers(m)[m], r, "compositions")
     return (((-1) ** gamma.length, gamma.evaluate(part)) for gamma in set_compositions(r))
@@ -566,8 +560,7 @@ def antipode_factored(part):
     the element-level ``antipode`` runs on its terms; the empty partition
     gives the unit.
     """
-    _require_standard(part, "antipode")
-    return NCSymElement._wrap(_factored_codes({_encode(part): 1}))
+    return NCSymElement._wrap(_factored_codes({_basis_code(part): 1}))
 
 
 @functools.cache
@@ -577,7 +570,7 @@ def _oracle_codes(code):
     if not code:
         return {b"": 1}
     pairs = [(code, -1)]
-    for (left, right), coeff in coproduct(NCSymElement._wrap({code: 1}))._terms.items():
+    for (left, right), coeff in _coproduct_codes({code: 1}).items():
         if left and right:
             pairs += [(_concat(q, right), -coeff * c) for q, c in _oracle_codes(left).items()]
     return _summed(pairs)
@@ -593,10 +586,10 @@ def antipode_oracle(part):
     harmless; ``antipode_oracle.cache_info()`` reports it.  The 3^r splits
     of r blocks are checked against the work limit first.
     """
-    _require_standard(part, "antipode")
-    r = part.length
+    code = _basis_code(part)
+    r = _blocks(code)
     _check_growth(f"antipode_oracle of {r} blocks", f"3^{r}", lambda m: 3**m, r, "splits")
-    return NCSymElement._combine(_oracle_codes(_encode(part)).items())
+    return NCSymElement._combine(_oracle_codes(code).items())
 
 
 antipode_oracle.cache_info = _oracle_codes.cache_info
@@ -628,9 +621,11 @@ def antipode(x, method="factored"):
 
 
 def _require_primitive_input(part):
-    _require_standard(part, "primitive")
-    if part.weight == 0:
+    """The code of a nonempty standard partition, checked by ``_basis_code``."""
+    code = _basis_code(part)
+    if not code:
         raise ValueError("primitive is undefined on the empty partition")
+    return code
 
 
 def primitive(part):
@@ -647,18 +642,17 @@ def primitive(part):
     Nonzero (and primitive) exactly when the input is atomic; zero for every
     other nonempty standard partition.  Undefined on the empty partition.
     """
-    _require_primitive_input(part)
-    r = part.length
+    code = _require_primitive_input(part)
+    r = _blocks(code)
     _check_growth(f"primitive of {r} blocks", f"3^{r}", lambda m: 3**m, r, "splits")
     _, first_part_sum = _kernel()
-    return NCSymElement._wrap(first_part_sum(_encode(part), True, 1))
+    return NCSymElement._wrap(first_part_sum(code, True, 1))
 
 
 def _primitive_anchored(part):
     """``primitive`` by the full signed sum over the compositions anchored at
     1: the referee of the first-part route in ``verify`` and the tests."""
-    _require_primitive_input(part)
-    r = part.length
+    r = _blocks(_require_primitive_input(part))
     what, formula = f"_primitive_anchored of {r} blocks", f"2·Fubini({r - 1})"
     _check_growth(what, formula, lambda m: 2 * fubini_numbers(m)[m], r - 1, "compositions")
     return NCSymElement._combine(
@@ -668,13 +662,16 @@ def _primitive_anchored(part):
 
 
 def reduced_coproduct(x):
-    """Coproduct minus the two unit tensor legs; zero iff x is primitive."""
+    """Coproduct minus the two unit tensor legs; zero iff x is primitive.
+
+    Only a term A itself splits as (A, empty) or (empty, A), always with A's
+    coefficient, so the legs are those two keys of each term deleted."""
     if counit(x) != 0:
         raise ValueError("reduced coproduct needs counit zero")
-    extra = []
-    for code, coeff in x._terms.items():
-        extra += [((code, b""), -coeff), ((b"", code), -coeff)]
-    return coproduct(x) + TensorElement._combine(extra)
+    splits = _coproduct_codes(x._terms)
+    for code in x._terms:
+        del splits[code, b""], splits[b"", code]
+    return TensorElement._wrap(splits)
 
 
 def convolve(left_map, right_map, part):

@@ -66,11 +66,6 @@ class CheckResult:
     def ok(self):
         return not self.failures
 
-    def tally(self, condition, detail):
-        self.cases += 1
-        if not condition:
-            self.failures.append(detail)
-
 
 def quasi_shuffle_count(k, l):
     """Interleave-or-merge count D with D(k,0)=D(0,l)=1 and
@@ -117,20 +112,13 @@ def _partition_pool(max_weight, rng, partitions):
 
 def _pair_pool(max_weight, rng, partitions):
     pairs = []
-    for total in range(0, max_weight + 1):
-        # Every candidate pair by its index in (a, left, right) order, or a
-        # sample of the indices, drawn as from a list of the pairs.
-        blocks = [(partitions(a), partitions(total - a)) for a in range(total + 1)]
-        count = sum(len(lefts) * len(rights) for lefts, rights in blocks)
-        picked = range(count)
-        if total > EXHAUSTIVE_CAP:
-            picked = rng.sample(picked, min(SAMPLE_PAIRS, count))
-        for index in picked:
-            for lefts, rights in blocks:
-                if index < len(lefts) * len(rights):
-                    break
-                index -= len(lefts) * len(rights)
-            pairs.append((lefts[index // len(rights)], rights[index % len(rights)]))
+    for n in range(0, max_weight + 1):
+        # Every pair of total weight n, in (a, left, right) order: the order
+        # fixes which pairs a seed samples.
+        every = [(x, y) for a in range(n + 1) for x in partitions(a) for y in partitions(n - a)]
+        if n > EXHAUSTIVE_CAP:
+            every = rng.sample(every, min(SAMPLE_PAIRS, len(every)))
+        pairs += every
     return pairs
 
 
@@ -427,7 +415,9 @@ def _tallied(name, cases):
     def check(max_weight, rng, partitions):
         res = CheckResult(name)
         for condition, detail in cases(max_weight, rng, partitions):
-            res.tally(condition, detail)
+            res.cases += 1
+            if not condition:
+                res.failures.append(detail)
         return res
 
     return check

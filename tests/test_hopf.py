@@ -418,6 +418,11 @@ class TestAntipode:
         assert antipode_oracle.cache_info().currsize == 0
         assert antipode_oracle(P("12.3")) == element(("1.23", 1))
 
+    def test_oracle_from_a_cleared_cache_equals_the_default_route(self):
+        antipode_oracle.cache_clear()
+        for part in (part for n in range(7) for part in set_partitions(n)):
+            assert antipode_oracle(part) == antipode_factored(part)
+
     def test_methods_run_through_the_public_routes(self, monkeypatch):
         # Rebinding a route in the table, as a span tracer does, reaches
         # every element-level call of its method.
@@ -520,6 +525,32 @@ class TestPrimitive:
         assert leading_term(p) == (atom, 1)
 
 
+@pytest.mark.parametrize(
+    "route",
+    [
+        antipode_direct,
+        antipode_direct_terms,
+        antipode_factored,
+        antipode_oracle,
+        primitive,
+        _primitive_anchored,
+    ],
+    ids=lambda route: route.__name__,
+)
+def test_every_route_checks_its_partition_as_element_keys_are(route):
+    with pytest.raises(TypeError) as refused:
+        route("12")
+    assert str(refused.value) == "term keys must be SetPartition, got str"
+    with pytest.raises(ValueError) as refused:
+        route(P("2.3"))
+    message = "element terms must be standard partitions, got SetPartition('2.3')"
+    assert str(refused.value) == message
+    if route in (primitive, _primitive_anchored):
+        with pytest.raises(ValueError) as refused:
+            route(EMPTY_PARTITION)
+        assert str(refused.value) == "primitive is undefined on the empty partition"
+
+
 class TestReducedCoproduct:
     def test_hand_value(self):
         got = reduced_coproduct(E(P("1.2")))
@@ -531,6 +562,22 @@ class TestReducedCoproduct:
     def test_requires_counit_zero(self):
         with pytest.raises(ValueError):
             reduced_coproduct(NCSymElement.unit())
+
+    def test_deleting_the_legs_matches_the_formula(self):
+        # reduced_coproduct(x) = coproduct(x) - x⊗1 - 1⊗x on every c1·A + c2·B,
+        # the legs built here by tensor arithmetic; refused when A (the first
+        # in enumeration order) is the empty partition.
+        parts = [part for n in range(4) for part in set_partitions(n)]
+        coeffs = (-2, -1, 1, 3)
+        for a, b in itertools.combinations(parts, 2):
+            for c1, c2 in itertools.product(coeffs, repeat=2):
+                x = NCSymElement({a: c1, b: c2})
+                if not a.weight:
+                    with pytest.raises(ValueError, match="reduced coproduct needs counit zero"):
+                        reduced_coproduct(x)
+                    continue
+                x_unit = TensorElement(((p, EMPTY_PARTITION), c) for p, c in x.items())
+                assert reduced_coproduct(x) == coproduct(x) - x_unit - x_unit.twist()
 
 
 class TestAtomOrder:

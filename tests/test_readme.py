@@ -1,11 +1,12 @@
-"""The README stays true: its quick tour runs, and its CLI table lists the
-parser's subcommands."""
+"""The README stays true: its quick tour runs, its CLI table lists the
+parser's subcommands, and its ``verify`` section lists the checks."""
 
 import argparse
 import doctest
 import re
 from pathlib import Path
 
+from ncsym import verify
 from ncsym.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -26,3 +27,9 @@ def test_cli_table_names_every_subcommand_in_order():
     ]
     assert len(table) == 13
     assert table == list(subparsers.choices)
+
+
+def test_verify_section_names_every_check_in_order():
+    section = README.read_text(encoding="utf-8").split("### verify\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"^```\n(.*?)^```$", section, re.M | re.S)
+    assert block.split() == list(verify.CHECK_NAMES)

@@ -45,8 +45,8 @@ def test_results_come_in_table_order():
 
 
 def pair_pool_by_list(max_weight, rng, partitions):
-    """``_pair_pool`` as it was, sampling a list of every candidate pair: the
-    referee of the index-decoding sampler."""
+    """``_pair_pool`` with the exhaustive weights and the sampled ones in
+    separate loops, sampling a list of every candidate pair."""
     by_weight = {n: partitions(n) for n in range(0, max_weight + 1)}
     pairs = []
     cap = min(max_weight, verify.EXHAUSTIVE_CAP)
@@ -73,6 +73,38 @@ def test_pair_pool_draws_as_list_sampling():
             rng, referee = random.Random(seed), random.Random(seed)
             pool = verify._pair_pool(max_weight, rng, partitions)
             assert pool == pair_pool_by_list(max_weight, referee, partitions)
+            assert rng.getstate() == referee.getstate()
+
+
+def pair_pool_by_index(max_weight, rng, partitions):
+    """The index walk ``_pair_pool`` once took: every pair by its index in
+    (a, left, right) order, or a sample of the indices, each index decoded
+    to its pair without building the list."""
+    pairs = []
+    for total in range(0, max_weight + 1):
+        blocks = [(partitions(a), partitions(total - a)) for a in range(total + 1)]
+        count = sum(len(lefts) * len(rights) for lefts, rights in blocks)
+        picked = range(count)
+        if total > verify.EXHAUSTIVE_CAP:
+            picked = rng.sample(picked, min(verify.SAMPLE_PAIRS, count))
+        for index in picked:
+            for lefts, rights in blocks:
+                if index < len(lefts) * len(rights):
+                    break
+                index -= len(lefts) * len(rights)
+            pairs.append((lefts[index // len(rights)], rights[index % len(rights)]))
+    return pairs
+
+
+def test_pair_pool_draws_as_the_index_walk():
+    # Sampling the list of pairs takes the same rng calls as sampling their
+    # indices, so both draw the same pairs.
+    partitions = functools.cache(lambda n: list(setparts.set_partitions(n)))
+    for max_weight in (6, 7):
+        for seed in range(10):
+            rng, referee = random.Random(seed), random.Random(seed)
+            pool = verify._pair_pool(max_weight, rng, partitions)
+            assert pool == pair_pool_by_index(max_weight, referee, partitions)
             assert rng.getstate() == referee.getstate()
 
 
