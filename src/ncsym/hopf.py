@@ -66,15 +66,18 @@ takes one checks and encodes it through ``_basis_code``, the one input
 check: the public constructors (which ``serialize`` decodes through),
 ``from_partition``, ``pure``, the antipode routes, ``primitive`` and
 ``_primitive_anchored``; ``coefficient`` answers 0 for a key it refuses.
-``items``, ``support``, the text forms and the maps handed to ``convolve``
-decode each distinct code once per call.  Sums, products, coproducts,
-antipodes and primitives stay codes and are trusted: ``_Combination._combine``
-and ``_wrap`` build them without re-checking.  The coproduct's splits are
-summed on codes (``_coproduct_codes``), which ``reduced_coproduct`` and the
-oracle read directly, with no element in between.  The default antipode runs
-from an element's codes to its kernel (``_factored_codes``) without a
-partition; only the ``direct`` and ``oracle`` referees take each term as a
-partition.
+``items``, ``support`` and the text forms sort the terms on their codes, by
+``_code_text`` (the extended-form string, ``SetPartition.sort_key``) or
+``_code_order`` (the atom order, ``partition_key``), both built without a
+partition, and decode each distinct code once, after sorting; the maps
+handed to ``convolve`` decode each distinct code once per call.  Sums,
+products, coproducts, antipodes and primitives stay codes and are trusted:
+``_Combination._combine`` and ``_wrap`` build them without re-checking.
+The coproduct's splits are summed on codes (``_coproduct_codes``), which
+``reduced_coproduct`` and the oracle read directly, with no element in
+between.  The default antipode runs from an element's codes to its kernel
+(``_factored_codes``) without a partition; only the ``direct`` and
+``oracle`` referees take each term as a partition.
 
 Everything is exact: coefficients are Python ints, and the primitive-space
 dimensions come from sparse elimination over the integers on the
@@ -160,6 +163,16 @@ _IDENTITY = bytes(range(256))
 _SHIFT = [_IDENTITY[k:] + _IDENTITY[:k] for k in range(256)]
 
 
+def _code_text(code):
+    """Extended-form text of a code's partition, ``SetPartition.sort_key``
+    built straight from the code: a weight over 9 in singletons ends in ','."""
+    blocks = [[] for _ in range(_blocks(code))]
+    for i, label in enumerate(code, 1):
+        blocks[label].append(str(i))
+    text = ".".join(map(",".join, blocks))
+    return text + "," if len(code) > 9 and len(blocks) == len(code) else text
+
+
 def _concat(x, y):
     """Code of the concatenation product: x, then y with its labels shifted
     up by x's block count; a tuple once the blocks pass 255."""
@@ -203,7 +216,7 @@ def _nonzero(data):
 class _Combination:
     """Shared body of ``NCSymElement`` and ``TensorElement``: immutable integer
     combinations keyed by codes, the subclass naming how a key is encoded,
-    decoded, ordered and multiplied.  No zero coefficient is stored; equality
+    decoded and multiplied.  No zero coefficient is stored; equality
     is term-map equality."""
 
     __slots__ = ("_terms",)
@@ -248,7 +261,7 @@ class _Combination:
         return [key for key, _ in self.items()]
 
     def items(self):
-        return sorted(self._decoded(), key=lambda kc: self._sort_key(kc[0]))
+        return self._decoded(_code_text)
 
     def is_zero(self):
         return not self._terms
@@ -306,12 +319,15 @@ class NCSymElement(_Combination):
 
     __slots__ = ()
     _key_code = staticmethod(_basis_code)
-    _sort_key = staticmethod(SetPartition.sort_key)
     _key_product = staticmethod(_concat)
 
-    def _decoded(self):
-        """The terms as (partition, coefficient) pairs, unsorted."""
-        return [(_decode(code), c) for code, c in self._terms.items()]
+    def _decoded(self, order=None):
+        """The terms as (partition, coefficient) pairs, sorted by ``order``
+        on their codes when it is given, decoded after sorting."""
+        terms = self._terms.items()
+        if order is not None:
+            terms = sorted(terms, key=lambda kc: order(kc[0]))
+        return [(_decode(code), c) for code, c in terms]
 
     @classmethod
     def from_partition(cls, part):
@@ -334,15 +350,17 @@ class TensorElement(_Combination):
     __slots__ = ()
     _key_code = staticmethod(_tensor_code)
 
-    def _decoded(self):
-        """The terms as ((left, right), coefficient) pairs, unsorted, each
-        distinct code decoded once."""
-        parts = {code: _decode(code) for code in set(itertools.chain.from_iterable(self._terms))}
-        return [((parts[a], parts[b]), c) for (a, b), c in self._terms.items()]
-
-    @staticmethod
-    def _sort_key(pair):
-        return pair[0].sort_key(), pair[1].sort_key()
+    def _decoded(self, order=None):
+        """The terms as ((left, right), coefficient) pairs, sorted by ``order``
+        on each side's code when it is given; each distinct code is ordered
+        and decoded once."""
+        codes = set(itertools.chain.from_iterable(self._terms))
+        terms = self._terms.items()
+        if order is not None:
+            keys = {code: order(code) for code in codes}
+            terms = sorted(terms, key=lambda kc: (keys[kc[0][0]], keys[kc[0][1]]))
+        parts = {code: _decode(code) for code in codes}
+        return [((parts[a], parts[b]), c) for (a, b), c in terms]
 
     @staticmethod
     def _key_product(a, b):
@@ -698,12 +716,18 @@ def partition_key(part):
     return tuple(atom_key(atom) for atom in part.atoms())
 
 
+def _code_order(code):
+    """``partition_key`` of a code's partition, built from the code."""
+    return tuple((-len(atom), _code_text(atom)) for atom in _code_atoms(code)) if code else ()
+
+
 def leading_term(x):
     """(partition, coefficient) at the minimum of the support in the atom
     order."""
     if x.is_zero():
         raise ValueError("the zero element has no leading term")
-    return min(x._decoded(), key=lambda term: partition_key(term[0]))
+    code = min(x._terms, key=_code_order)
+    return _decode(code), x._terms[code]
 
 
 def _expand_bracket(tree):
@@ -723,9 +747,12 @@ def hall_primitive(atoms):
     for atom in atoms:
         if not isinstance(atom, SetPartition) or not atom.is_standard() or not atom.is_atomic():
             raise ValueError(f"not an atomic standard partition: {atom!r}")
-    if not is_lyndon(atoms, key=atom_key):
+    # Each letter's key once per call: every Lyndon test of the bracketing
+    # reads the keys again.
+    key = functools.cache(atom_key)
+    if not is_lyndon(atoms, key=key):
         raise ValueError("atom word is not Lyndon in the atom order")
-    return _expand_bracket(hall_tree(atoms, key=atom_key))
+    return _expand_bracket(hall_tree(atoms, key=key))
 
 
 def lyndon_atom_words(total_weight):
@@ -747,8 +774,8 @@ def lyndon_atom_words(total_weight):
 
 def _lyndon_atom_words(partitions):
     """``lyndon_atom_words`` given the weight's standard partitions."""
-    keyed = sorted(((partition_key(part), part) for part in partitions), key=lambda pair: pair[0])
-    return [part.atoms() for key, part in keyed if is_lyndon(key)]
+    keyed = sorted((_code_order(code), code) for code in map(_encode, partitions))
+    return [tuple(map(_decode, _code_atoms(code))) for key, code in keyed if is_lyndon(key)]
 
 
 def _split_count(m):
@@ -806,11 +833,12 @@ def _hall_span(n, words, dim):
     return integer_rank([element._terms for element in elements]) == len(elements) == dim
 
 
-def _signed(x, order, body):
-    """Sign-joined text of the terms of ``x`` sorted by ``order`` on decoded
-    keys: the first sign bare, the others spaced, a magnitude of 1 left out."""
+def _signed(x, body):
+    """Sign-joined text of the terms of ``x`` in atom order, sorted on their
+    codes by ``_code_order``: the first sign bare, the others spaced, a
+    magnitude of 1 left out."""
     pieces = []
-    for key, coeff in sorted(x._decoded(), key=lambda kc: order(kc[0])):
+    for key, coeff in x._decoded(_code_order):
         magnitude = abs(coeff)
         text = body(key) if magnitude == 1 else f"{magnitude}{body(key)}"
         if pieces:
@@ -825,13 +853,9 @@ def format_element(x):
     the bare partition."""
     if list(x._terms.values()) == [1]:
         return _label(_decode(next(iter(x._terms))))
-    return _signed(x, partition_key, lambda part: f"({_label(part)})")
+    return _signed(x, lambda part: f"({_label(part)})")
 
 
 def format_tensor(t):
     """Text form of a tensor combination, factors joined by the tensor sign."""
-    return _signed(
-        t,
-        lambda pair: (partition_key(pair[0]), partition_key(pair[1])),
-        lambda pair: f"({_label(pair[0])})\u2297({_label(pair[1])})",
-    )
+    return _signed(t, lambda pair: f"({_label(pair[0])})\u2297({_label(pair[1])})")

@@ -127,8 +127,8 @@ def _format_groups(groups, sep, mode):
     if mode == "compact":
         if top > 9:
             raise ValueError(f"element {top} does not fit the compact form; use extended")
-        return sep.join("".join(str(e) for e in g) for g in groups)
-    text = sep.join(",".join(str(e) for e in g) for g in groups)
+        return sep.join(["".join(map(str, g)) for g in groups])
+    text = sep.join([",".join(map(str, g)) for g in groups])
     if top > 9 and "," not in text:
         text += ","
     return text

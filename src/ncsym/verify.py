@@ -204,11 +204,12 @@ def check_coassociativity(max_weight, rng, partitions):
         delta = hopf.coproduct(NCSymElement.from_partition(part))
         first = {}
         second = {}
-        for (p, q), c in delta.items():
-            for (p1, p2), c2 in hopf.coproduct(NCSymElement.from_partition(p)).items():
+        # The sums are compared as maps, so the terms are read unsorted.
+        for (p, q), c in delta._decoded():
+            for (p1, p2), c2 in hopf.coproduct(NCSymElement.from_partition(p))._decoded():
                 key = (p1, p2, q)
                 first[key] = first.get(key, 0) + c * c2
-            for (q1, q2), c2 in hopf.coproduct(NCSymElement.from_partition(q)).items():
+            for (q1, q2), c2 in hopf.coproduct(NCSymElement.from_partition(q))._decoded():
                 key = (p, q1, q2)
                 second[key] = second.get(key, 0) + c * c2
         first = {k: v for k, v in first.items() if v}
@@ -219,9 +220,9 @@ def check_coassociativity(max_weight, rng, partitions):
 def check_counit_laws(max_weight, rng, partitions):
     for part in _partition_pool(max_weight, rng, partitions):
         x = NCSymElement.from_partition(part)
-        delta = hopf.coproduct(x)
-        left = NCSymElement((q, c) for (p, q), c in delta.items() if p.weight == 0)
-        right = NCSymElement((p, c) for (p, q), c in delta.items() if q.weight == 0)
+        terms = hopf.coproduct(x)._decoded()
+        left = NCSymElement((q, c) for (p, q), c in terms if p.weight == 0)
+        right = NCSymElement((p, c) for (p, q), c in terms if q.weight == 0)
         yield left == x, f"left counit law {part!r}"
         yield right == x, f"right counit law {part!r}"
 
@@ -286,7 +287,7 @@ def check_grading(max_weight, rng, partitions):
         x = NCSymElement.from_partition(part)
         delta = hopf.coproduct(x)
         yield (
-            all(p.weight + q.weight == part.weight for (p, q), _ in delta.items()),
+            all(p.weight + q.weight == part.weight for (p, q), _ in delta._decoded()),
             f"coproduct grading {part!r}",
         )
         s = hopf.antipode(x)
@@ -385,18 +386,20 @@ def check_quasi_shuffle(max_weight, rng, partitions):
 
 def check_unitriangular(max_weight, rng, partitions):
     # Each atom's primitive once per run, looked up in ``hopf`` at call time.
-    primitive = functools.cache(lambda atom: hopf.primitive(atom))
+    primitive = functools.cache(lambda atom: hopf.primitive(hopf._decode(atom)))
     for n in range(1, max_weight + 1):
-        basis = sorted(partitions(n), key=hopf.partition_key)
-        index = {part: i for i, part in enumerate(basis)}
-        for i, part in enumerate(basis):
+        # The basis in atom order, sorted and looked up by code.
+        parts = {hopf._encode(part): part for part in partitions(n)}
+        basis = sorted(parts, key=hopf._code_order)
+        index = {code: i for i, code in enumerate(basis)}
+        for i, code in enumerate(basis):
             combo = NCSymElement.unit()
-            for atom in part.atoms():
+            for atom in hopf._code_atoms(code):
                 combo = combo * primitive(atom)
-            yield combo.coefficient(part) == 1, f"unit diagonal {part!r}"
+            yield combo._terms.get(code) == 1, f"unit diagonal {parts[code]!r}"
             yield (
-                all(index[q] >= i for q, c in combo.items() if c),
-                f"triangularity {part!r}",
+                all(index[q] >= i for q in combo._terms),
+                f"triangularity {parts[code]!r}",
             )
 
 

@@ -33,10 +33,19 @@ from ncsym import (
     primitive,
     primitive_space_dimension,
     reduced_coproduct,
+    serialize,
     set_compositions,
     set_partitions,
 )
-from ncsym.hopf import _ANTIPODE_METHODS, _decode, _encode, _hall_span, _primitive_anchored
+from ncsym.hopf import (
+    _ANTIPODE_METHODS,
+    _code_order,
+    _code_text,
+    _decode,
+    _encode,
+    _hall_span,
+    _primitive_anchored,
+)
 from ncsym.setparts import bell_numbers
 
 P = SetPartition.parse
@@ -176,6 +185,21 @@ class TestCodeKeys:
             for i, split in enumerate(got):
                 kept = [block for l, block in enumerate(part.blocks) if i >> (r - 1 - l) & 1]
                 assert split == _encode(SetPartition(kept).standardize())
+
+    def test_code_keys_match_the_partition_keys(self):
+        # SetPartition.sort_key and partition_key referee the keys built on
+        # codes: every code through weight 7, extended forms past weight 9
+        # ("10" sorts before "2"; singletons end in ","), and a tuple code.
+        parts = [part for n in range(8) for part in set_partitions(n)]
+        parts += [singletons(n) for n in (9, 10, 11, 12)]
+        parts += [P("1,10.2.3.4.5.6.7.8.9"), P("1,10.2,3,4,5,6,7,8,9"), singletons(300)]
+        parts.append(SetPartition([(1, 2)] + [(i,) for i in range(3, 302)]))
+        for part in parts:
+            code = _encode(part)
+            assert _code_text(code) == part.sort_key(), part
+            assert _code_order(code) == partition_key(part), part
+        assert _code_text(_encode(singletons(10))).endswith("9.10,")
+        assert isinstance(_encode(parts[-1]), tuple) and len(parts[-1].blocks) == 300
 
     def test_no_output_partition_built_before_items(self, monkeypatch):
         multi_atom, nine_blocks = E(P("13.2.4.57.6")), E(P("1.2.3.4.5.6.7.8.9"))
@@ -640,6 +664,21 @@ class TestHallBasis:
         with pytest.raises(ValueError):
             hall_primitive([P("1.2")])
 
+    def test_each_letter_keyed_once_per_call(self, monkeypatch):
+        keyed = []
+
+        def counted(part):
+            keyed.append(part)
+            return atom_key(part)
+
+        monkeypatch.setattr(hopf, "atom_key", counted)
+        word = (P("123"), P("12"), P("12"), P("1"), P("12"), P("1"))
+        assert is_lyndon(word, key=atom_key)
+        for _ in range(2):
+            keyed.clear()
+            hall_primitive(word)
+            assert sorted(keyed, key=atom_key) == [P("123"), P("12"), P("1")]
+
     def test_outputs_are_primitive(self):
         for n in range(1, 5):
             for word in lyndon_atom_words(n):
@@ -715,7 +754,50 @@ class TestHallBasis:
             assert routes[name](int(n)) == value, key
 
 
+def label(part):
+    return f"({part.format() or '∅'})"
+
+
+def signed_text(terms, body=label):
+    """The text forms' sign-joined layout of terms already in order."""
+    text = " ".join(
+        f"{'-' if c < 0 else '+'} {abs(c) if abs(c) != 1 else ''}{body(key)}" for key, c in terms
+    )
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
 class TestFormatting:
+    def test_order_across_weight_ten_and_mixed_weights(self):
+        # Sorted on codes, the terms come out in the order the partition-level
+        # keys give: the extended-form string for items, support and JSON,
+        # partition_key for the text forms.
+        a = P("1,10.2,3,4,5,6,7,8,9")
+        s = antipode(E(a))
+        mixed = s + 2 * E(singletons(10)) - E(P("1,10.2.3.4.5.6.7.8.9")) + E(P("13.2"))
+        mixed += E(singletons(9)) * E(P("12")) - 3 * E(P("1")) + NCSymElement.unit()
+        for x in (s, mixed):
+            terms = [(_decode(code), c) for code, c in x._terms.items()]
+            by_text = sorted(terms, key=lambda kc: kc[0].sort_key())
+            assert x.items() == by_text and x.support() == [p for p, _ in by_text]
+            obj = serialize.element_to_obj(x)
+            assert [t["partition"] for t in obj["terms"]] == [
+                serialize.partition_to_obj(p) for p, _ in by_text
+            ]
+            by_order = sorted(terms, key=lambda kc: partition_key(kc[0]))
+            assert str(x) == format_element(x) == signed_text(by_order)
+        for t in (coproduct(E(a)), coproduct(mixed)):
+            terms = [((_decode(l), _decode(r)), c) for (l, r), c in t._terms.items()]
+            by_text = sorted(terms, key=lambda kc: (kc[0][0].sort_key(), kc[0][1].sort_key()))
+            assert t.items() == by_text and t.support() == [p for p, _ in by_text]
+            obj = serialize.tensor_to_obj(t)
+            assert [(u["left"], u["right"]) for u in obj["terms"]] == [
+                (serialize.partition_to_obj(l), serialize.partition_to_obj(r))
+                for (l, r), _ in by_text
+            ]
+            by_order = sorted(terms, key=lambda kc: tuple(map(partition_key, kc[0])))
+            text = signed_text(by_order, lambda pair: f"{label(pair[0])}⊗{label(pair[1])}")
+            assert str(t) == format_tensor(t) == text
+
     def test_bare_single_positive_term(self):
         assert format_element(element(("1.23", 1))) == "1.23"
         assert format_element(NCSymElement.unit()) == "∅"
