@@ -7,10 +7,11 @@ block indices.  The antipode comes in three forms: the full signed sum over
 set compositions; the default route by atoms, which applies the antipode as
 an antimorphism over the atomic splitting and evaluates each atom's
 composition sum by recursion on its first part (at most 3^r head/tail pairs
-for an atom of r blocks, against Fubini(r) compositions); and a memoized
-graded-connected recursion used as an independent oracle.  The primitive
-generators, their leading-term order, and the Hall bracket basis of the
-primitive Lie algebra live here too.
+for an atom of r blocks, against Fubini(r) compositions, and none for a
+single block, whose antipode is its negative since it is primitive); and a
+memoized graded-connected recursion used as an independent oracle.  The
+primitive generators, their leading-term order, and the Hall bracket basis
+of the primitive Lie algebra live here too.
 
 Each route predicts its work from the block count r and refuses, before any
 work, a call whose prediction exceeds ``setparts.WORK_LIMIT`` (10^6): 2^r
@@ -54,9 +55,10 @@ never equals ``bytes``); ``_encode`` and the product ``_concat`` are where
 tuples arise.  The 2^r splits std(A|K) of a code come from one loop over
 its labels, highest first, in which every split so far either keeps the
 label or drops it: one ``bytes.translate`` that deletes the label's
-positions and moves every higher label down by one (``_all_splits``).  The
-product appends the second code with its labels shifted up by the first's
-block count.
+positions and moves every higher label down by one (``_all_splits``), so
+entry i keeps i.bit_count() labels and the default route reads each head's
+block count off its index.  The product appends the second code with its
+labels shifted up by the first's block count.
 
 ``NCSymElement`` and ``TensorElement`` share one private base,
 ``_Combination`` (arithmetic, equality, hash, text form), whose terms are
@@ -451,7 +453,10 @@ def antipode_direct(part):
 def _code_atoms(code):
     """Atoms of a nonempty code, each relabelled from 0: a cut falls before
     the first use of a label when no earlier label is used again after it.
-    A tuple code is cut by ``SetPartition.atoms``."""
+    A code ending in label 0 is one atom, its first block reaching the end;
+    any other tuple code is cut by ``SetPartition.atoms``."""
+    if code[-1] == 0:
+        return [code]
     if isinstance(code, tuple):
         return [_encode(atom) for atom in _decode(code).atoms()]
     pieces = []
@@ -476,21 +481,28 @@ def _kernel():
     sign)``: sign times the sum over the nonempty label sets K of std(A|K) *
     S(std(A|rest)), K running over the sets holding label 0 only when
     ``anchored``.  Equal (head, tail) splits are combined first; a product is
-    ``head + q`` with q's labels shifted up.  A product of atoms whose
+    ``head + q`` with q's labels shifted up by the head's block count, which
+    is read off the split index (entry i of ``_all_splits`` keeps
+    i.bit_count() labels).  A one-block code is answered as -itself, p_[n]
+    being primitive, without a cut or a split, and only a code not ending
+    in label 0 can have a second atom to cut.  A product of atoms whose
     Π|S(atom)| terms exceed the work limit is refused before it is
-    multiplied.  Callers may keep the dicts returned, but not change them.
+    multiplied.  Callers may keep the dicts returned, and must not change
+    them while the kernel is in use; the memo dies with the kernel, so a
+    caller done with it may take a dict over.
     """
     memo = {b"": {b"": 1}}
 
     def first_part_sum(code, anchored, sign):
         subs = _all_splits(code)
-        # (std(A|K), std(A|rest)) for each nonempty K: rest is the mirrored
-        # entry, and the sets holding label 0 are the second half.
-        half = len(subs) // 2
-        pairs = zip(subs[half:], subs[half - 1 :: -1]) if anchored else zip(subs[1:], subs[-2::-1])
+        # (std(A|K), std(A|rest), |K|) for each nonempty K: entry i keeps
+        # i.bit_count() labels, rest is the mirrored entry, and the sets
+        # holding label 0 are the second half.
+        lo = len(subs) // 2 if anchored else 1
+        pairs = zip(subs[lo:], subs[-1 - lo :: -1], map(int.bit_count, range(lo, len(subs))))
         out = {}
-        for (head, tail), coeff in collections.Counter(pairs).items():
-            shift = _SHIFT[max(head) + 1]
+        for (head, tail, k), coeff in collections.Counter(pairs).items():
+            shift = _SHIFT[k]
             coeff *= sign
             # A memo hit skips the call: no antipode is empty.
             for q, c in (memo.get(tail) or antipode_of(tail)).items():
@@ -504,7 +516,10 @@ def _kernel():
             return got
         if pieces is None:
             pieces = _code_atoms(code)
-        if len(pieces) == 1:
+        if code.count(0) == len(code):
+            # One block: p_[n] is primitive, so S(p_[n]) = -p_[n].
+            got = {code: -1}
+        elif len(pieces) == 1:
             got = first_part_sum(code, False, -1)
         else:
             # S(A_t)...S(A_1).  Every term of an atom's antipode has the
@@ -535,20 +550,23 @@ def _kernel():
 
 
 def _factored_codes(terms):
-    """The default route on a map of codes to coefficients: a new dict of the
-    antipode's codes to coefficients.
+    """The default route on a map of codes to coefficients: a dict of the
+    antipode's codes to coefficients, owned by the caller.
 
     Each nonempty code is cut into atoms once, and the 3^r splits of the
     widest atom are checked against the work limit before any work; one
-    kernel, and so one memo, serves all the terms.
+    kernel, and so one memo, serves all the terms.  A single term with
+    coefficient 1 gets the kernel's own dict, uncopied.
     """
     atoms = {code: _code_atoms(code) for code in terms if code}
     r = max(map(_blocks, itertools.chain.from_iterable(atoms.values())), default=0)
     _check_growth(f"antipode of an atom of {r} blocks", f"3^{r}", lambda m: 3**m, r, "splits")
     antipode_of, _ = _kernel()
     if len(terms) == 1:
+        # The kernel's memo dies with this call, so its dict can be handed on.
         ((code, coeff),) = terms.items()
-        return {q: coeff * c for q, c in antipode_of(code, atoms.get(code)).items()}
+        got = antipode_of(code, atoms.get(code))
+        return got if coeff == 1 else {q: coeff * c for q, c in got.items()}
     out = {}
     for code, coeff in terms.items():
         for q, c in antipode_of(code, atoms.get(code)).items():
@@ -563,14 +581,17 @@ def antipode_factored(part):
     An atom's antipode is its signed composition sum, taken by recursion on
     the first part K: S(A) = -sum over nonempty K of std(A|K) * S(std(A|rest)),
     with equal (head, tail) splits combined and each tail's antipode again by
-    atoms.  Every partition met is a standardized sub-partition of one input
-    atom, memoized for this call only, so an atom of r blocks costs at most
-    3^r head/tail pairs and a many-atom input the sum of its atoms' costs.
+    atoms; a one-block partition is primitive, so S(p_[n]) = -p_[n] with no
+    recursion.  Every partition met is a standardized sub-partition of one
+    input atom, memoized for this call only, so an atom of r blocks costs at
+    most 3^r head/tail pairs and a many-atom input the sum of its atoms'
+    costs.
 
     The whole route runs on codes (see ``_encode``), which are canonical by
     construction: the heads and tails are byte translates of the code
-    (``_all_splits``), a product is ``head + q`` with q's labels shifted up,
-    and no partition is built, sorted or checked inside.  An input whose
+    (``_all_splits``), a product is ``head + q`` with q's labels shifted up
+    by the head's block count, read off the head's split index, and no
+    partition is built, sorted or checked inside.  An input whose
     widest atom's 3^r splits exceed the work limit (13 blocks or more) is
     refused before any work, and a product over the atoms with more terms
     than the limit before it is multiplied; the product keys past 255 blocks
@@ -660,11 +681,18 @@ def primitive(part):
     Nonzero (and primitive) exactly when the input is atomic; zero for every
     other nonempty standard partition.  Undefined on the empty partition.
     """
+    code = _primitive_code(part)
+    _, first_part_sum = _kernel()
+    return NCSymElement._wrap(first_part_sum(code, True, 1))
+
+
+def _primitive_code(part):
+    """``primitive``'s checks: the code of ``part``, nonempty, whose 3^r
+    splits for r blocks are within the work limit."""
     code = _require_primitive_input(part)
     r = _blocks(code)
     _check_growth(f"primitive of {r} blocks", f"3^{r}", lambda m: 3**m, r, "splits")
-    _, first_part_sum = _kernel()
-    return NCSymElement._wrap(first_part_sum(code, True, 1))
+    return code
 
 
 def _primitive_anchored(part):
@@ -716,9 +744,12 @@ def partition_key(part):
     return tuple(atom_key(atom) for atom in part.atoms())
 
 
-def _code_order(code):
-    """``partition_key`` of a code's partition, built from the code."""
-    return tuple((-len(atom), _code_text(atom)) for atom in _code_atoms(code)) if code else ()
+def _code_order(code, pieces=None):
+    """``partition_key`` of a code's partition, built from the code;
+    ``pieces`` may hand over its atoms when the caller has already cut it."""
+    if pieces is None:
+        pieces = _code_atoms(code) if code else ()
+    return tuple((-len(atom), _code_text(atom)) for atom in pieces)
 
 
 def leading_term(x):
@@ -730,10 +761,10 @@ def leading_term(x):
     return _decode(code), x._terms[code]
 
 
-def _expand_bracket(tree):
+def _expand_bracket(tree, letters):
     if isinstance(tree, SetPartition):
-        return primitive(tree)
-    left, right = _expand_bracket(tree[0]), _expand_bracket(tree[1])
+        return letters[tree]
+    left, right = _expand_bracket(tree[0], letters), _expand_bracket(tree[1], letters)
     return left * right - right * left
 
 
@@ -741,7 +772,9 @@ def hall_primitive(atoms):
     """Iterated commutator of primitive generators along the Hall bracketing.
 
     The atom word must be Lyndon in the atom order; a single atom gives its
-    primitive generator back.
+    primitive generator back.  Every letter is checked as ``primitive``
+    checks it before any work, and each distinct letter's primitive is
+    taken once, on one kernel for the call.
     """
     atoms = tuple(atoms)
     for atom in atoms:
@@ -752,7 +785,12 @@ def hall_primitive(atoms):
     key = functools.cache(atom_key)
     if not is_lyndon(atoms, key=key):
         raise ValueError("atom word is not Lyndon in the atom order")
-    return _expand_bracket(hall_tree(atoms, key=key))
+    codes = {atom: _primitive_code(atom) for atom in atoms}
+    _, first_part_sum = _kernel()
+    letters = {
+        atom: NCSymElement._wrap(first_part_sum(code, True, 1)) for atom, code in codes.items()
+    }
+    return _expand_bracket(hall_tree(atoms, key=key), letters)
 
 
 def lyndon_atom_words(total_weight):
@@ -774,8 +812,9 @@ def lyndon_atom_words(total_weight):
 
 def _lyndon_atom_words(partitions):
     """``lyndon_atom_words`` given the weight's standard partitions."""
-    keyed = sorted((_code_order(code), code) for code in map(_encode, partitions))
-    return [tuple(map(_decode, _code_atoms(code))) for key, code in keyed if is_lyndon(key)]
+    cut = [(code, _code_atoms(code)) for code in map(_encode, partitions)]
+    keyed = sorted((_code_order(code, pieces), pieces) for code, pieces in cut)
+    return [tuple(map(_decode, pieces)) for key, pieces in keyed if is_lyndon(key)]
 
 
 def _split_count(m):

@@ -385,17 +385,23 @@ def check_quasi_shuffle(max_weight, rng, partitions):
 
 
 def check_unitriangular(max_weight, rng, partitions):
-    # Each atom's primitive once per run, looked up in ``hopf`` at call time.
+    # Each atom's primitive, looked up in ``hopf`` at call time, and each
+    # product of primitives along a prefix of a code's atoms, once per run.
     primitive = functools.cache(lambda atom: hopf.primitive(hopf._decode(atom)))
+
+    @functools.cache
+    def product(atoms):
+        return product(atoms[:-1]) * primitive(atoms[-1]) if atoms else NCSymElement.unit()
+
     for n in range(1, max_weight + 1):
-        # The basis in atom order, sorted and looked up by code.
+        # The basis in atom order, sorted and looked up by code, each code cut
+        # into atoms once.
         parts = {hopf._encode(part): part for part in partitions(n)}
-        basis = sorted(parts, key=hopf._code_order)
+        atoms = {code: tuple(hopf._code_atoms(code)) for code in parts}
+        basis = sorted(parts, key=lambda code: hopf._code_order(code, atoms[code]))
         index = {code: i for i, code in enumerate(basis)}
         for i, code in enumerate(basis):
-            combo = NCSymElement.unit()
-            for atom in hopf._code_atoms(code):
-                combo = combo * primitive(atom)
+            combo = product(atoms[code])
             yield combo._terms.get(code) == 1, f"unit diagonal {parts[code]!r}"
             yield (
                 all(index[q] >= i for q in combo._terms),

@@ -47,12 +47,14 @@ from ncsym.hopf import (
     _primitive_anchored,
 )
 from ncsym.setparts import bell_numbers
+from ncsym.words import hall_tree
 
 P = SetPartition.parse
 E = NCSymElement.from_partition
 
-# Read only: the primitive-rank workload's expected values.
+# Read only: the primitive-rank and antipode workloads' expected values.
 PRIMITIVE_REFS = Path(__file__).parents[1] / "perfbench" / "refs" / "primitive_rank.json"
+ANTIPODE_REFS = Path(__file__).parents[1] / "perfbench" / "refs" / "antipode.json"
 
 
 def element(*pairs):
@@ -185,6 +187,13 @@ class TestCodeKeys:
             for i, split in enumerate(got):
                 kept = [block for l, block in enumerate(part.blocks) if i >> (r - 1 - l) & 1]
                 assert split == _encode(SetPartition(kept).standardize())
+
+    def test_split_index_counts_the_blocks(self):
+        # first_part_sum shifts each tail by its head's block count, read
+        # off the split index: entry i keeps exactly i.bit_count() labels.
+        for part in (part for n in range(8) for part in set_partitions(n)):
+            for i, split in enumerate(hopf._all_splits(_encode(part))):
+                assert hopf._blocks(split) == i.bit_count(), (part, i)
 
     def test_code_keys_match_the_partition_keys(self):
         # SetPartition.sort_key and partition_key referee the keys built on
@@ -432,6 +441,51 @@ class TestAntipode:
         assert calls and set(calls.values()) == {1}
         assert calls[_encode(P("13.2.4.57.6"))] == 1
 
+    def test_one_block_answered_without_a_split(self, monkeypatch):
+        # p_[n] is primitive, so S(p_[n]) = -p_[n]; the kernel neither cuts
+        # nor splits a one-block code.
+        def unreached(code):
+            raise AssertionError(f"split {code!r}")
+
+        monkeypatch.setattr(hopf, "_all_splits", unreached)
+        for n in (1, 2, 9, 10, 12):
+            x = E(SetPartition([tuple(range(1, n + 1))]))
+            assert antipode(x) == -x and antipode_factored(x.support()[0]) == -x
+
+    def test_one_block_atom_after_255_blocks(self):
+        # Tuple codes: the one-block atom comes after 300 singletons, and a
+        # 300-block atom whose first block reaches the end is one atom.
+        block = E(P("123"))
+        x = E(singletons(300)) * block
+        assert isinstance(list(x._terms)[0], tuple)
+        assert antipode(x) == -(block * E(singletons(300)))
+        assert antipode(block * E(singletons(300))) == -(E(singletons(300)) * block)
+        mixed = SetPartition([(1, 301)] + [(i,) for i in range(2, 301)])
+        code = _encode(mixed)
+        assert isinstance(code, tuple) and hopf._code_atoms(code) == [code]
+        assert mixed.atoms() == (mixed,)
+
+    def test_scalar_multiples(self):
+        for x in (E(P("1")), E(P("123")), E(P("13.2.4")), E(P("13.2")) * E(P("12"))):
+            assert antipode(3 * x) == 3 * antipode(x)
+            assert antipode(-x) == -antipode(x)
+
+    def test_each_call_returns_its_own_terms(self):
+        # A single term's antipode takes over the kernel's dict, which no
+        # later call shares.
+        for x in (NCSymElement.unit(), E(P("1")), E(P("123")), E(P("13.2.4")), E(P("1.2"))):
+            first, second = antipode(x), antipode(x)
+            assert first == second and first._terms is not second._terms
+            first, second = antipode_factored(x.support()[0]), antipode_factored(x.support()[0])
+            assert first == second and first._terms is not second._terms
+
+    def test_perfbench_references_recomputed(self):
+        refs = json.loads(ANTIPODE_REFS.read_text(encoding="utf-8"))
+        assert len(refs) == 23
+        for key, value in refs.items():
+            got = antipode(E(P(key)))
+            assert sorted([p.format("extended"), c] for p, c in got.items()) == value, key
+
     def test_oracle_small_values(self):
         assert antipode_oracle(P("1")) == element(("1", -1))
         assert antipode_oracle(P("12.3")) == element(("1.23", 1))
@@ -678,6 +732,58 @@ class TestHallBasis:
             keyed.clear()
             hall_primitive(word)
             assert sorted(keyed, key=atom_key) == [P("123"), P("12"), P("1")]
+
+    def test_one_kernel_per_call_and_each_letter_once(self, monkeypatch):
+        # The leaf-by-leaf expansion, a fresh primitive per leaf, referees.
+        def leaf_by_leaf(tree):
+            if isinstance(tree, SetPartition):
+                return primitive(tree)
+            left, right = leaf_by_leaf(tree[0]), leaf_by_leaf(tree[1])
+            return left * right - right * left
+
+        words = [word for n in range(1, 7) for word in lyndon_atom_words(n)]
+        want = [leaf_by_leaf(hall_tree(word, key=atom_key)) for word in words]
+        kernels, letters = [], []
+        build = hopf._kernel
+
+        def counted():
+            antipode_of, first_part_sum = build()
+
+            def first_part_sum_counted(code, anchored, sign):
+                letters.append(code)
+                return first_part_sum(code, anchored, sign)
+
+            kernels.append(1)
+            return antipode_of, first_part_sum_counted
+
+        monkeypatch.setattr(hopf, "_kernel", counted)
+        for word, value in zip(words, want):
+            kernels.clear(), letters.clear()
+            assert hall_primitive(word) == value, word
+            assert len(kernels) == 1
+            assert sorted(letters) == sorted(set(map(_encode, word)))
+
+    def test_refuses_a_wide_letter_before_any_work(self, monkeypatch):
+        wide_atom = P("1,14.2.3.4.5.6.7.8.9.10.11.12.13")
+        with pytest.raises(ValueError) as refused:
+            primitive(wide_atom)
+        monkeypatch.setattr(hopf, "_kernel", None)
+        with pytest.raises(ValueError) as again:
+            hall_primitive([wide_atom, P("1")])
+        assert str(again.value) == str(refused.value)
+
+    def test_each_code_cut_into_atoms_once(self, monkeypatch):
+        calls = collections.Counter()
+        cut = hopf._code_atoms
+
+        def counted(code):
+            calls[code] += 1
+            return cut(code)
+
+        want = lyndon_atom_words(6)
+        monkeypatch.setattr(hopf, "_code_atoms", counted)
+        assert hopf._lyndon_atom_words(set_partitions(6)) == want
+        assert len(calls) == bell_numbers(6)[6] and set(calls.values()) == {1}
 
     def test_outputs_are_primitive(self):
         for n in range(1, 5):

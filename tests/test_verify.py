@@ -119,3 +119,32 @@ def test_growth_string_walk_is_the_referee():
         walked = list(verify._growth_string_partitions(n))
         assert verify.growth_string_count(n) == len(walked) == verify.bell_numbers(8)[n]
         assert sorted(walked, key=setparts.SetPartition.sort_key) == list(setparts.set_partitions(n))
+
+
+def test_unitriangular_cuts_each_code_once_and_multiplies_each_prefix_once(monkeypatch):
+    # Every partition of weight below 6 is an atom prefix of one of weight 6,
+    # and each prefix's product is one element product over the run.  The
+    # primitives are taken first, so that only the check's own cuts count,
+    # not those of the kernel's tails.
+    atoms = {atom for n in range(1, 7) for atom in setparts.atomic_set_partitions(n)}
+    primitives = {atom: hopf.primitive(atom) for atom in atoms}
+    monkeypatch.setattr(hopf, "primitive", primitives.__getitem__)
+    calls = collections.Counter()
+    cut = hopf._code_atoms
+    products = []
+    multiply = hopf.NCSymElement.__mul__
+
+    def counted_cut(code):
+        calls[code] += 1
+        return cut(code)
+
+    def counted_product(x, y):
+        products.append(1)
+        return multiply(x, y)
+
+    monkeypatch.setattr(hopf, "_code_atoms", counted_cut)
+    monkeypatch.setattr(hopf.NCSymElement, "__mul__", counted_product)
+    [result] = verify.run_checks(max_weight=6, names=["unitriangular"])
+    assert result.ok and result.cases == 2 * sum(setparts.bell_numbers(6)[1:])
+    assert len(calls) == sum(setparts.bell_numbers(6)[1:]) and set(calls.values()) == {1}
+    assert len(products) == sum(setparts.bell_numbers(6)[1:])
