@@ -31,7 +31,12 @@ anchored composition into its first part K and a composition of the rest;
 the signed sum over those is the antipode of the rest, with the sign of the
 first part moved onto it.  So ``primitive`` runs on the default antipode
 route's kernel, and the anchored sum itself (``_primitive_anchored``)
-referees it in ``verify`` and the tests.
+referees it in ``verify`` and the tests.  Every primitive is taken from one
+private source, ``_primitives()``: built on one kernel, it maps a partition,
+or a Hall tree of atoms, to its element and keeps each leaf and each bracket
+subtree for its lifetime.  ``primitive`` and ``hall_primitive`` read a fresh
+source per call, after their checks; the Hall span and ``verify``'s
+unitriangular check read one source for all their trusted atoms.
 
 The antipode also has a cancellation-free formula, checked in the tests but
 not a route (it measured slower than the default one): S(p_A) = sum of
@@ -673,26 +678,24 @@ def primitive(part):
     primitive(A) = sum over the block sets K holding block 1 of
     std(A|K) * S(std(A|rest)), with S the antipode and S(empty) = 1: split
     each anchored composition into its first part K and a composition of the
-    rest, whose signed sum is S(std(A|rest)).  Runs on the default route's
-    code kernel and its per-call memo: 2^(r-1) head/tail pairs for r blocks,
-    against Fubini(r-1)-sized sums for the anchored compositions, and at
-    most 3^r splits in all, which are checked against the work limit first.
+    rest, whose signed sum is S(std(A|rest)).  Read from a fresh source of
+    primitives (``_primitives``), on the default route's code kernel and its
+    memo: 2^(r-1) head/tail pairs for r blocks, against Fubini(r-1)-sized
+    sums for the anchored compositions, and at most 3^r splits in all, which
+    are checked against the work limit before the kernel is built.
 
     Nonzero (and primitive) exactly when the input is atomic; zero for every
     other nonempty standard partition.  Undefined on the empty partition.
     """
-    code = _primitive_code(part)
-    _, first_part_sum = _kernel()
-    return NCSymElement._wrap(first_part_sum(code, True, 1))
+    _check_primitive(part)
+    return _primitives()(part)
 
 
-def _primitive_code(part):
-    """``primitive``'s checks: the code of ``part``, nonempty, whose 3^r
-    splits for r blocks are within the work limit."""
-    code = _require_primitive_input(part)
-    r = _blocks(code)
+def _check_primitive(part):
+    """``primitive``'s checks: ``part`` is a nonempty standard partition whose
+    3^r splits for r blocks are within the work limit."""
+    r = _blocks(_require_primitive_input(part))
     _check_growth(f"primitive of {r} blocks", f"3^{r}", lambda m: 3**m, r, "splits")
-    return code
 
 
 def _primitive_anchored(part):
@@ -761,11 +764,27 @@ def leading_term(x):
     return _decode(code), x._terms[code]
 
 
-def _expand_bracket(tree, letters):
-    if isinstance(tree, SetPartition):
-        return letters[tree]
-    left, right = _expand_bracket(tree[0], letters), _expand_bracket(tree[1], letters)
-    return left * right - right * left
+def _primitives():
+    """One source of primitives, on one ``_kernel()`` for its lifetime.
+
+    Returns ``of(tree)``.  A tree that is a standard partition gives its
+    primitive; a Hall tree of atoms, a pair of subtrees, gives the bracket
+    left * right - right * left of its subtrees' elements.  Each leaf and
+    each bracket subtree is taken once per source, and every primitive
+    reads the one kernel memo, so the antipodes of the tails they share are
+    each taken once.  The leaves are trusted: callers check them, and their
+    3^r limit, first.
+    """
+    _, first_part_sum = _kernel()
+
+    @functools.cache
+    def of(tree):
+        if isinstance(tree, SetPartition):
+            return NCSymElement._wrap(first_part_sum(_encode(tree), True, 1))
+        left, right = of(tree[0]), of(tree[1])
+        return left * right - right * left
+
+    return of
 
 
 def hall_primitive(atoms):
@@ -773,8 +792,9 @@ def hall_primitive(atoms):
 
     The atom word must be Lyndon in the atom order; a single atom gives its
     primitive generator back.  Every letter is checked as ``primitive``
-    checks it before any work, and each distinct letter's primitive is
-    taken once, on one kernel for the call.
+    checks it before any work; the tree is then expanded on one source of
+    primitives (``_primitives``), which takes each distinct letter and
+    subtree once.
     """
     atoms = tuple(atoms)
     for atom in atoms:
@@ -785,12 +805,9 @@ def hall_primitive(atoms):
     key = functools.cache(atom_key)
     if not is_lyndon(atoms, key=key):
         raise ValueError("atom word is not Lyndon in the atom order")
-    codes = {atom: _primitive_code(atom) for atom in atoms}
-    _, first_part_sum = _kernel()
-    letters = {
-        atom: NCSymElement._wrap(first_part_sum(code, True, 1)) for atom, code in codes.items()
-    }
-    return _expand_bracket(hall_tree(atoms, key=key), letters)
+    for atom in atoms:
+        _check_primitive(atom)
+    return _primitives()(hall_tree(atoms, key=key))
 
 
 def lyndon_atom_words(total_weight):
@@ -864,8 +881,11 @@ def hall_span_check(n):
 def _hall_span(n, words, dim):
     """``hall_span_check`` given the Lyndon atom words and the dimension: each
     word's Hall primitive is primitive and of weight n, and their exact rank
-    is both their number and ``dim``.  Enumerates nothing."""
-    elements = [hall_primitive(word) for word in words]
+    is both their number and ``dim``.  Enumerates nothing.  The words are
+    trusted: all of them are expanded on one source of primitives, with one
+    cached atom key, so letters and subtrees they share are taken once."""
+    key, primitive = functools.cache(atom_key), _primitives()
+    elements = [primitive(hall_tree(word, key=key)) for word in words]
     for element in elements:
         if reduced_coproduct(element) or any(len(code) != n for code in element._terms):
             return False

@@ -70,6 +70,8 @@ class CheckResult:
 def quasi_shuffle_count(k, l):
     """Interleave-or-merge count D with D(k,0)=D(0,l)=1 and
     D(k,l)=D(k-1,l)+D(k-1,l-1)+D(k,l-1)."""
+    setparts._checked_size(k)
+    setparts._checked_size(l)
     table = [[1] * (l + 1) for _ in range(k + 1)]
     for i in range(1, k + 1):
         for j in range(1, l + 1):
@@ -97,6 +99,7 @@ def _growth_string_partitions(n):
 
 def growth_string_count(n):
     """Count the restricted-growth strings of length n by walking them."""
+    setparts._checked_size(n)
     return sum(1 for _ in _growth_string_partitions(n))
 
 
@@ -385,14 +388,11 @@ def check_quasi_shuffle(max_weight, rng, partitions):
 
 
 def check_unitriangular(max_weight, rng, partitions):
-    # Each atom's primitive, looked up in ``hopf`` at call time, and each
-    # product of primitives along a prefix of a code's atoms, once per run.
-    primitive = functools.cache(lambda atom: hopf.primitive(hopf._decode(atom)))
-
-    @functools.cache
-    def product(atoms):
-        return product(atoms[:-1]) * primitive(atoms[-1]) if atoms else NCSymElement.unit()
-
+    # The product of the primitives along each code's atoms, taken once per
+    # run on one source of primitives.  A code's atoms but its last are the
+    # atoms of a lighter code, whose product the table already holds.
+    primitive = hopf._primitives()
+    products = {(): NCSymElement.unit()}
     for n in range(1, max_weight + 1):
         # The basis in atom order, sorted and looked up by code, each code cut
         # into atoms once.
@@ -401,7 +401,8 @@ def check_unitriangular(max_weight, rng, partitions):
         basis = sorted(parts, key=lambda code: hopf._code_order(code, atoms[code]))
         index = {code: i for i, code in enumerate(basis)}
         for i, code in enumerate(basis):
-            combo = product(atoms[code])
+            pieces = atoms[code]
+            combo = products[pieces] = products[pieces[:-1]] * primitive(hopf._decode(pieces[-1]))
             yield combo._terms.get(code) == 1, f"unit diagonal {parts[code]!r}"
             yield (
                 all(index[q] >= i for q in combo._terms),
@@ -466,6 +467,8 @@ def run_checks(max_weight=4, names=None, seed=0):
     table = dict(_CHECKS)
     if names is None:
         selected = CHECK_NAMES
+    elif isinstance(names, str):
+        raise TypeError(f"names must be a collection of check names, not the string {names!r}")
     else:
         selected = tuple(names)
         for name in selected:

@@ -700,6 +700,15 @@ def recursive_lyndon_atom_words(total_weight):
     return found
 
 
+def leaf_by_leaf(tree):
+    """The Hall tree's element with a fresh public ``primitive`` per leaf:
+    the referee of the shared source of primitives."""
+    if isinstance(tree, SetPartition):
+        return primitive(tree)
+    left, right = leaf_by_leaf(tree[0]), leaf_by_leaf(tree[1])
+    return left * right - right * left
+
+
 class TestHallBasis:
     def test_single_atom(self):
         assert hall_primitive([P("13.2")]) == primitive(P("13.2"))
@@ -734,13 +743,6 @@ class TestHallBasis:
             assert sorted(keyed, key=atom_key) == [P("123"), P("12"), P("1")]
 
     def test_one_kernel_per_call_and_each_letter_once(self, monkeypatch):
-        # The leaf-by-leaf expansion, a fresh primitive per leaf, referees.
-        def leaf_by_leaf(tree):
-            if isinstance(tree, SetPartition):
-                return primitive(tree)
-            left, right = leaf_by_leaf(tree[0]), leaf_by_leaf(tree[1])
-            return left * right - right * left
-
         words = [word for n in range(1, 7) for word in lyndon_atom_words(n)]
         want = [leaf_by_leaf(hall_tree(word, key=atom_key)) for word in words]
         kernels, letters = [], []
@@ -811,6 +813,37 @@ class TestHallBasis:
         assert not _hall_span(4, words + [words[0]], dim + 1)
         assert not _hall_span(4, words, dim + 1)
         assert not _hall_span(4, words, dim - 1)
+
+    def test_hall_span_elements_match_leaf_by_leaf_expansion(self, monkeypatch):
+        # The rows _hall_span ranks are its elements.
+        ranked = []
+        rank = hopf.integer_rank
+
+        def recorded(rows):
+            ranked.append(rows)
+            return rank(rows)
+
+        monkeypatch.setattr(hopf, "integer_rank", recorded)
+        for n in range(1, 8):
+            words = lyndon_atom_words(n)
+            ranked.clear()
+            assert _hall_span(n, words, len(words)), n
+            [rows] = ranked
+            want = [leaf_by_leaf(hall_tree(word, key=atom_key))._terms for word in words]
+            assert rows == want, n
+
+    def test_hall_span_check_builds_one_kernel_per_call(self, monkeypatch):
+        kernels, build = [], hopf._kernel
+
+        def counted():
+            kernels.append(1)
+            return build()
+
+        monkeypatch.setattr(hopf, "_kernel", counted)
+        for n in range(1, 7):
+            kernels.clear()
+            assert hall_span_check(n)
+            assert len(kernels) == 1, n
 
     def test_hall_span_enumerates_nothing(self, monkeypatch):
         inputs = {n: (lyndon_atom_words(n), primitive_space_dimension(n)) for n in range(1, 6)}

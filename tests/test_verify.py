@@ -124,11 +124,12 @@ def test_growth_string_walk_is_the_referee():
 def test_unitriangular_cuts_each_code_once_and_multiplies_each_prefix_once(monkeypatch):
     # Every partition of weight below 6 is an atom prefix of one of weight 6,
     # and each prefix's product is one element product over the run.  The
-    # primitives are taken first, so that only the check's own cuts count,
-    # not those of the kernel's tails.
+    # primitives are taken first, and the check's source of primitives reads
+    # them, so that only the check's own cuts count, not those of the
+    # kernel's tails.
     atoms = {atom for n in range(1, 7) for atom in setparts.atomic_set_partitions(n)}
     primitives = {atom: hopf.primitive(atom) for atom in atoms}
-    monkeypatch.setattr(hopf, "primitive", primitives.__getitem__)
+    monkeypatch.setattr(hopf, "_primitives", lambda: primitives.__getitem__)
     calls = collections.Counter()
     cut = hopf._code_atoms
     products = []
@@ -148,3 +149,36 @@ def test_unitriangular_cuts_each_code_once_and_multiplies_each_prefix_once(monke
     assert result.ok and result.cases == 2 * sum(setparts.bell_numbers(6)[1:])
     assert len(calls) == sum(setparts.bell_numbers(6)[1:]) and set(calls.values()) == {1}
     assert len(products) == sum(setparts.bell_numbers(6)[1:])
+
+
+def test_counts_refuse_a_size_that_is_not_a_nonnegative_integer():
+    # Each refusal used to end in RecursionError (growth strings) or
+    # IndexError (quasi-shuffles).
+    for bad in (-1, 2.5, True):
+        message = f"size must be a nonnegative integer, got {bad!r}"
+        with pytest.raises(ValueError) as refused:
+            verify.growth_string_count(bad)
+        assert str(refused.value) == message
+        for args in ((bad, 2), (2, bad)):
+            with pytest.raises(ValueError) as refused:
+                verify.quasi_shuffle_count(*args)
+            assert str(refused.value) == message
+
+
+def test_names_refuse_a_string():
+    # A string would be read as its characters: "unknown check 'h'".
+    with pytest.raises(TypeError, match="not the string 'hall-span'"):
+        verify.run_checks(max_weight=2, names="hall-span")
+
+
+def test_unitriangular_builds_one_kernel_per_run(monkeypatch):
+    kernels = []
+    build = hopf._kernel
+
+    def counted():
+        kernels.append(1)
+        return build()
+
+    monkeypatch.setattr(hopf, "_kernel", counted)
+    [result] = verify.run_checks(max_weight=6, names=["unitriangular"])
+    assert result.ok and len(kernels) == 1
