@@ -238,7 +238,7 @@ def build_parser():
         choices=hopf._ANTIPODE_METHODS,
         default="factored",
         help="direct composition sum (Fubini(r) compositions for r blocks), factored: by "
-        "atoms, each atom's composition sum by first-part recursion, up to 3^r splits for "
+        "atoms, each atom's composition sum by last-part recursion, up to 3^r splits for "
         "an atom of r blocks (default), or the oracle recursion (up to 3^r splits); a "
         f"predicted count over {setparts.WORK_LIMIT} is refused",
     )

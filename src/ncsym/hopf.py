@@ -6,7 +6,7 @@ standardized splits of the block set over all ordered disjoint unions of the
 block indices.  The antipode comes in three forms: the full signed sum over
 set compositions; the default route by atoms, which applies the antipode as
 an antimorphism over the atomic splitting and evaluates each atom's
-composition sum by recursion on its first part (at most 3^r head/tail pairs
+composition sum by recursion on its last part (at most 3^r head/tail pairs
 for an atom of r blocks, against Fubini(r) compositions, and none for a
 single block, whose antipode is its negative since it is primitive); and a
 memoized graded-connected recursion used as an independent oracle.  The
@@ -30,7 +30,9 @@ at 1, is computed as primitive(A) = sum over the block sets K holding block
 anchored composition into its first part K and a composition of the rest;
 the signed sum over those is the antipode of the rest, with the sign of the
 first part moved onto it.  So ``primitive`` runs on the default antipode
-route's kernel, and the anchored sum itself (``_primitive_anchored``)
+route's kernel, which keeps this first-part sum for primitives beside the
+last-part sum it takes each atom's antipode by, since the primitive needs S
+on the right factor; the anchored sum itself (``_primitive_anchored``)
 referees it in ``verify`` and the tests.  Every primitive is taken from one
 private source, ``_primitives()``: built on one kernel, it maps a partition,
 or a Hall tree of atoms, to its element and keeps each leaf and each bracket
@@ -93,7 +95,6 @@ reduced-coproduct maps themselves (``linalg.integer_rank``).
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -110,7 +111,7 @@ from .setparts import (
     set_compositions,
     set_partitions,
 )
-from .words import hall_tree, is_lyndon
+from .words import _hall_tree, is_lyndon
 
 __all__ = [
     "NCSymElement",
@@ -482,50 +483,69 @@ def _kernel():
 
     Returns ``antipode_of(code, pieces=None)``, a dict of codes to
     coefficients, where ``pieces`` may hand over the code's atoms when the
-    caller has already split it, and ``first_part_sum(code, anchored,
-    sign)``: sign times the sum over the nonempty label sets K of std(A|K) *
-    S(std(A|rest)), K running over the sets holding label 0 only when
-    ``anchored``.  Equal (head, tail) splits are combined first; a product is
-    ``head + q`` with q's labels shifted up by the head's block count, which
-    is read off the split index (entry i of ``_all_splits`` keeps
-    i.bit_count() labels).  A one-block code is answered as -itself, p_[n]
-    being primitive, without a cut or a split, and only a code not ending
-    in label 0 can have a second atom to cut.  A product of atoms whose
-    Π|S(atom)| terms exceed the work limit is refused before it is
-    multiplied.  Callers may keep the dicts returned, and must not change
-    them while the kernel is in use; the memo dies with the kernel, so a
-    caller done with it may take a dict over.
+    caller has already split it, and ``first_part_sum(code)``, the anchored
+    sum over the label sets K holding label 0 of std(A|K) * S(std(A|rest)),
+    which a primitive needs with S on the right factor.  An atom's antipode
+    is taken by its last part, the same m(S ⊗ id)Δ = ε recursion read from
+    the other side: S(A) = -sum over K short of all labels of S(std(A|K)) *
+    std(A|rest).  Both sums count equal (head, tail, k) splits on a plain
+    dict first, k being the head's block count, read off the split index
+    (entry i of ``_all_splits`` keeps i.bit_count() labels).  Every term of
+    an antipode has its code's block count, so the last-part sum shifts each
+    distinct tail up by k once and a product is the bare ``q + tail``; the
+    first-part sum shifts each q of S(tail) and appends it to the head.  A
+    code ending in label 0 is one atom, answered with no cut: a single
+    block as -itself, p_[n] being primitive, anything else by its last-part
+    sum.  A product of atoms whose Π|S(atom)| terms exceed the work limit
+    is refused before it is multiplied.  Callers may keep the dicts
+    returned, and must not change them while the kernel is in use; the memo
+    dies with the kernel, so a caller done with it may take a dict over.
     """
     memo = {b"": {b"": 1}}
 
-    def first_part_sum(code, anchored, sign):
+    def counted(subs, start, stop):
+        # (std(A|K), std(A|rest), |K|) for split entries start to stop - 1,
+        # equal ones counted: entry i keeps i.bit_count() labels and its rest
+        # is the mirrored entry.
+        counts = {}
+        mirrored = subs[-1 - start : -1 - stop : -1]
+        for triple in zip(subs[start:stop], mirrored, map(int.bit_count, range(start, stop))):
+            counts[triple] = counts.get(triple, 0) + 1
+        return counts.items()
+
+    def first_part_sum(code):
         subs = _all_splits(code)
-        # (std(A|K), std(A|rest), |K|) for each nonempty K: entry i keeps
-        # i.bit_count() labels, rest is the mirrored entry, and the sets
-        # holding label 0 are the second half.
-        lo = len(subs) // 2 if anchored else 1
-        pairs = zip(subs[lo:], subs[-1 - lo :: -1], map(int.bit_count, range(lo, len(subs))))
         out = {}
-        for (head, tail, k), coeff in collections.Counter(pairs).items():
+        # The sets holding label 0 are the second half.
+        for (head, tail, k), n in counted(subs, len(subs) // 2, len(subs)):
             shift = _SHIFT[k]
-            coeff *= sign
             # A memo hit skips the call: no antipode is empty.
             for q, c in (memo.get(tail) or antipode_of(tail)).items():
                 key = head + q.translate(shift)
-                out[key] = out.get(key, 0) + coeff * c
+                out[key] = out.get(key, 0) + n * c
+        return _nonzero(out)
+
+    def last_part_sum(code):
+        subs = _all_splits(code)
+        out = {}
+        # Every label set but the last entry, which holds them all.
+        for (head, tail, k), n in counted(subs, 0, len(subs) - 1):
+            tail = tail.translate(_SHIFT[k])
+            for q, c in (memo.get(head) or antipode_of(head)).items():
+                key = q + tail
+                out[key] = out.get(key, 0) - n * c
         return _nonzero(out)
 
     def antipode_of(code, pieces=None):
         got = memo.get(code)
         if got is not None:
             return got
-        if pieces is None:
+        # Only a code not ending in label 0 can have a second atom to cut.
+        if code[-1] != 0 and pieces is None:
             pieces = _code_atoms(code)
-        if code.count(0) == len(code):
-            # One block: p_[n] is primitive, so S(p_[n]) = -p_[n].
-            got = {code: -1}
-        elif len(pieces) == 1:
-            got = first_part_sum(code, False, -1)
+        if code[-1] == 0 or len(pieces) == 1:
+            # One atom.  One block: p_[n] is primitive, so S(p_[n]) = -p_[n].
+            got = {code: -1} if code.count(0) == len(code) else last_part_sum(code)
         else:
             # S(A_t)...S(A_1).  Every term of an atom's antipode has the
             # atom's block count, so no two products of the factors' terms
@@ -584,25 +604,25 @@ def antipode_factored(part):
 
     S is an antimorphism over the atomic splitting, S(A) = S(A_t)...S(A_1).
     An atom's antipode is its signed composition sum, taken by recursion on
-    the first part K: S(A) = -sum over nonempty K of std(A|K) * S(std(A|rest)),
-    with equal (head, tail) splits combined and each tail's antipode again by
-    atoms; a one-block partition is primitive, so S(p_[n]) = -p_[n] with no
-    recursion.  Every partition met is a standardized sub-partition of one
-    input atom, memoized for this call only, so an atom of r blocks costs at
-    most 3^r head/tail pairs and a many-atom input the sum of its atoms'
-    costs.
+    the last part, the rest of K: S(A) = -sum over K short of all blocks of
+    S(std(A|K)) * std(A|rest), with equal (head, tail) splits combined and
+    each head's antipode again by atoms; a one-block partition is primitive,
+    so S(p_[n]) = -p_[n] with no recursion.  Every partition met is a
+    standardized sub-partition of one input atom, memoized for this call
+    only, so an atom of r blocks costs at most 3^r head/tail pairs and a
+    many-atom input the sum of its atoms' costs.
 
     The whole route runs on codes (see ``_encode``), which are canonical by
     construction: the heads and tails are byte translates of the code
-    (``_all_splits``), a product is ``head + q`` with q's labels shifted up
-    by the head's block count, read off the head's split index, and no
-    partition is built, sorted or checked inside.  An input whose
-    widest atom's 3^r splits exceed the work limit (13 blocks or more) is
-    refused before any work, and a product over the atoms with more terms
-    than the limit before it is multiplied; the product keys past 255 blocks
-    by a tuple.  This checks the partition and runs the code-level body that
-    the element-level ``antipode`` runs on its terms; the empty partition
-    gives the unit.
+    (``_all_splits``), each distinct tail's labels are shifted up once by
+    the head's block count, read off the head's split index, a product is
+    ``q + tail``, and no partition is built, sorted or checked inside.  An
+    input whose widest atom's 3^r splits exceed the work limit (13 blocks or
+    more) is refused before any work, and a product over the atoms with more
+    terms than the limit before it is multiplied; the product keys past 255
+    blocks by a tuple.  This checks the partition and runs the code-level
+    body that the element-level ``antipode`` runs on its terms; the empty
+    partition gives the unit.
     """
     return NCSymElement._wrap(_factored_codes({_basis_code(part): 1}))
 
@@ -664,14 +684,6 @@ def antipode(x, method="factored"):
     )
 
 
-def _require_primitive_input(part):
-    """The code of a nonempty standard partition, checked by ``_basis_code``."""
-    code = _basis_code(part)
-    if not code:
-        raise ValueError("primitive is undefined on the empty partition")
-    return code
-
-
 def primitive(part):
     """Signed sum over the compositions anchored at 1, taken by first parts.
 
@@ -687,21 +699,25 @@ def primitive(part):
     Nonzero (and primitive) exactly when the input is atomic; zero for every
     other nonempty standard partition.  Undefined on the empty partition.
     """
-    _check_primitive(part)
+    r = _blocks(_primitive_code(part))
+    _check_growth(f"primitive of {r} blocks", f"3^{r}", lambda m: 3**m, r, "splits")
     return _primitives()(part)
 
 
-def _check_primitive(part):
-    """``primitive``'s checks: ``part`` is a nonempty standard partition whose
-    3^r splits for r blocks are within the work limit."""
-    r = _blocks(_require_primitive_input(part))
-    _check_growth(f"primitive of {r} blocks", f"3^{r}", lambda m: 3**m, r, "splits")
+def _primitive_code(part):
+    """The code of a nonempty standard partition, checked by ``_basis_code``:
+    the input check of ``primitive``, ``hall_primitive`` and
+    ``_primitive_anchored``, each of which then predicts its own work."""
+    code = _basis_code(part)
+    if not code:
+        raise ValueError("primitive is undefined on the empty partition")
+    return code
 
 
 def _primitive_anchored(part):
     """``primitive`` by the full signed sum over the compositions anchored at
     1: the referee of the first-part route in ``verify`` and the tests."""
-    r = _blocks(_require_primitive_input(part))
+    r = _blocks(_primitive_code(part))
     what, formula = f"_primitive_anchored of {r} blocks", f"2·Fubini({r - 1})"
     _check_growth(what, formula, lambda m: 2 * fubini_numbers(m)[m], r - 1, "compositions")
     return NCSymElement._combine(
@@ -780,7 +796,7 @@ def _primitives():
     @functools.cache
     def of(tree):
         if isinstance(tree, SetPartition):
-            return NCSymElement._wrap(first_part_sum(_encode(tree), True, 1))
+            return NCSymElement._wrap(first_part_sum(_encode(tree)))
         left, right = of(tree[0]), of(tree[1])
         return left * right - right * left
 
@@ -800,14 +816,15 @@ def hall_primitive(atoms):
     for atom in atoms:
         if not isinstance(atom, SetPartition) or not atom.is_standard() or not atom.is_atomic():
             raise ValueError(f"not an atomic standard partition: {atom!r}")
-    # Each letter's key once per call: every Lyndon test of the bracketing
-    # reads the keys again.
+    # Each letter's key once per call: every split of the bracketing reads
+    # the keys again.
     key = functools.cache(atom_key)
     if not is_lyndon(atoms, key=key):
         raise ValueError("atom word is not Lyndon in the atom order")
     for atom in atoms:
-        _check_primitive(atom)
-    return _primitives()(hall_tree(atoms, key=key))
+        r = _blocks(_primitive_code(atom))
+        _check_growth(f"primitive of {r} blocks", f"3^{r}", lambda m: 3**m, r, "splits")
+    return _primitives()(_hall_tree(atoms, key))
 
 
 def lyndon_atom_words(total_weight):
@@ -885,7 +902,7 @@ def _hall_span(n, words, dim):
     trusted: all of them are expanded on one source of primitives, with one
     cached atom key, so letters and subtrees they share are taken once."""
     key, primitive = functools.cache(atom_key), _primitives()
-    elements = [primitive(hall_tree(word, key=key)) for word in words]
+    elements = [primitive(_hall_tree(word, key)) for word in words]
     for element in elements:
         if reduced_coproduct(element) or any(len(code) != n for code in element._terms):
             return False

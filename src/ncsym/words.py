@@ -315,10 +315,16 @@ def lyndon_split(word, key=None):
         raise ValueError("factorization needs at least two letters")
     if not is_lyndon(word, key):
         raise ValueError("word is not Lyndon")
-    for i in range(1, len(word)):
-        if is_lyndon(word[i:], key):
-            return word[:i], word[i:]
-    raise AssertionError("unreachable: a single letter is Lyndon")
+    return _split(word, key)
+
+
+def _split(word, key):
+    """``lyndon_split`` of a word known to be Lyndon: in a Lyndon word the
+    smallest proper suffix is its longest proper Lyndon suffix (Lothaire), so
+    one pass over the suffixes finds it."""
+    seq = [key(x) for x in word] if key is not None else list(word)
+    i = min(range(1, len(seq)), key=lambda j: seq[j:])
+    return word[:i], word[i:]
 
 
 def hall_tree(word, key=None):
@@ -329,10 +335,16 @@ def hall_tree(word, key=None):
     """
     if not is_lyndon(word, key):
         raise ValueError("word is not Lyndon")
+    return _hall_tree(word, key)
+
+
+def _hall_tree(word, key):
+    """``hall_tree`` of a word known to be Lyndon, whose factors are Lyndon
+    too, so no level tests the word again."""
     if len(word) == 1:
         return word[0]
-    u, v = lyndon_split(word, key)
-    return hall_tree(u, key), hall_tree(v, key)
+    u, v = _split(word, key)
+    return _hall_tree(u, key), _hall_tree(v, key)
 
 
 def bracket_format(tree, render=str):

@@ -189,8 +189,8 @@ class TestCodeKeys:
                 assert split == _encode(SetPartition(kept).standardize())
 
     def test_split_index_counts_the_blocks(self):
-        # first_part_sum shifts each tail by its head's block count, read
-        # off the split index: entry i keeps exactly i.bit_count() labels.
+        # The kernel's sums shift by each head's block count, read off the
+        # split index: entry i keeps exactly i.bit_count() labels.
         for part in (part for n in range(8) for part in set_partitions(n)):
             for i, split in enumerate(hopf._all_splits(_encode(part))):
                 assert hopf._blocks(split) == i.bit_count(), (part, i)
@@ -376,6 +376,20 @@ class TestAntipode:
                 assert antipode_factored(atom) == antipode_direct(atom)
         for atom in atomic_set_partitions(7):
             assert antipode_factored(atom) == antipode_oracle(atom)
+
+    def test_kernel_refereed_at_weight_seven(self):
+        # The kernel sums each atom's antipode by its last part and each
+        # primitive by its first: the oracle and the anchored sum referee
+        # both on every partition of weight 7, and the oracle an element
+        # whose terms share sub-codes in one kernel.
+        parts = list(set_partitions(7))
+        assert len(parts) == 877
+        for part in parts:
+            assert antipode_factored(part) == antipode_oracle(part), part
+            assert primitive(part) == _primitive_anchored(part), part
+        x = E(P("15.2.37.4.6")) - 2 * E(P("13.2.4.57.6")) + 3 * E(P("1234567"))
+        x += E(P("1.2.3.4.5.6.7"))
+        assert len(antipode(x)._terms) > 4 and antipode(x) == antipode(x, "oracle")
 
     def test_long_growth_string_with_few_labels(self):
         odd, even = tuple(range(1, 300, 2)), tuple(range(2, 301, 2))
@@ -742,6 +756,24 @@ class TestHallBasis:
             hall_primitive(word)
             assert sorted(keyed, key=atom_key) == [P("123"), P("12"), P("1")]
 
+    def test_word_tested_for_lyndon_once(self, monkeypatch):
+        tested = []
+
+        def counted(word, key=None):
+            tested.append(word)
+            return is_lyndon(word, key)
+
+        # hall_primitive tests its word once, with its own message, and the
+        # Hall span trusts its words; no level of the bracketing tests again.
+        monkeypatch.setattr(hopf, "is_lyndon", counted)
+        monkeypatch.setattr("ncsym.words.is_lyndon", counted)
+        word = (P("123"), P("12"), P("12"), P("1"), P("12"), P("1"))
+        hall_primitive(word)
+        assert tested == [word]
+        tested.clear()
+        assert _hall_span(4, [(P("12"), P("1"), P("1"))], 1)
+        assert tested == []
+
     def test_one_kernel_per_call_and_each_letter_once(self, monkeypatch):
         words = [word for n in range(1, 7) for word in lyndon_atom_words(n)]
         want = [leaf_by_leaf(hall_tree(word, key=atom_key)) for word in words]
@@ -751,9 +783,9 @@ class TestHallBasis:
         def counted():
             antipode_of, first_part_sum = build()
 
-            def first_part_sum_counted(code, anchored, sign):
+            def first_part_sum_counted(code):
                 letters.append(code)
-                return first_part_sum(code, anchored, sign)
+                return first_part_sum(code)
 
             kernels.append(1)
             return antipode_of, first_part_sum_counted

@@ -344,6 +344,29 @@ class TestLyndon:
         with pytest.raises(ValueError):
             lyndon_split("ba")
 
+    def test_split_is_the_longest_lyndon_suffix(self):
+        # The one-pass split, at the smallest proper suffix, against the
+        # definition on every Lyndon word of length 2 to 7 over abc, in both
+        # letter orders.
+        for key in (None, {"a": 2, "b": 1, "c": 0}.get):
+            for n in range(2, 8):
+                for letters in itertools.product("abc", repeat=n):
+                    word = "".join(letters)
+                    if is_lyndon(word, key):
+                        i = next(i for i in range(1, n) if is_lyndon(word[i:], key))
+                        assert lyndon_split(word, key) == (word[:i], word[i:]), word
+
+    def test_hall_tree_tests_the_word_once(self, monkeypatch):
+        tested = []
+
+        def counted(word, key=None):
+            tested.append(word)
+            return is_lyndon(word, key)
+
+        monkeypatch.setattr(words, "is_lyndon", counted)
+        assert bracket_format(hall_tree("aababbabb")) == "[a,[[[a,b],[[a,b],b]],[[a,b],b]]]"
+        assert tested == ["aababbabb"]
+
     def test_hall_tree(self):
         assert hall_tree("aabb") == ("a", (("a", "b"), "b"))
         assert hall_tree("a") == "a"

@@ -7,7 +7,9 @@ One ``<sha256>  <what>`` line each for:
   1 and 2, each run in a fresh interpreter;
 * the ``str`` of ``coproduct``, ``reduced_coproduct``, the three antipode
   routes and ``primitive`` on every standard partition of weight 1 to 6, in
-  ``set_partitions`` order, one line per partition.
+  ``set_partitions`` order, one line per partition;
+* the same for ``antipode_factored`` and ``primitive`` on every standard
+  partition of weight 7.
 
 Usage: ``python tools/fingerprint.py``.  It runs the ``src`` tree beside it,
 so the same file run from two checkouts compares them.
@@ -49,6 +51,10 @@ def main():
     for name, call in calls.items():
         text = "".join(f"{call(part)}\n" for part in parts)
         print(f"{_digest(text.encode())}  {name} on the {len(parts)} partitions of weight 1-6")
+    parts = list(set_partitions(7))
+    for name in ("antipode_factored", "primitive"):
+        text = "".join(f"{calls[name](part)}\n" for part in parts)
+        print(f"{_digest(text.encode())}  {name} on the {len(parts)} partitions of weight 7")
 
 
 if __name__ == "__main__":
