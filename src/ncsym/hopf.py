@@ -16,7 +16,8 @@ of the primitive Lie algebra live here too.
 Each route predicts its work from the block count r and refuses, before any
 work, a call whose prediction exceeds ``setparts.WORK_LIMIT`` (10^6): 2^r
 splits for each coproduct term, 3^r for each atom on the default route, for
-the oracle and for ``primitive``, Fubini(r) compositions for the full sum,
+the oracle, for ``primitive`` and for each letter of ``hall_primitive`` (all
+four by ``_check_splits``), Fubini(r) compositions for the full sum,
 and 2 Fubini(r - 1) for the anchored sum.  The default route also refuses a
 product over the atoms whose Π|S(atom)| terms exceed the limit, before it
 multiplies.  The primitive layer predicts from the weight n: Bell(n)
@@ -104,6 +105,7 @@ from .setparts import (
     SetPartition,
     _check_growth,
     _check_work,
+    _checked_size,
     _label,
     anchored_compositions,
     bell_numbers,
@@ -435,6 +437,13 @@ def coproduct(x):
     return TensorElement._wrap(_coproduct_codes(x._terms))
 
 
+def _check_splits(what, r):
+    """Refuse ``what`` of ``r`` blocks, before any work, when its 3^r splits
+    exceed the work limit: the one prediction of the default route, the
+    oracle, ``primitive`` and ``hall_primitive``."""
+    _check_growth(f"{what} of {r} blocks", f"3^{r}", lambda m: 3**m, r, "splits")
+
+
 def counit(x):
     """Coefficient of the empty partition."""
     return x._terms.get(b"", 0)
@@ -556,12 +565,11 @@ def _kernel():
             size = math.prod(map(len, factors))
             _check_work("antipode of a product of atoms", "Π|S(atom)|", size, "terms")
             got = factors[0]
-            blocks = _blocks(pieces[0])
             for piece, factor in zip(pieces[1:], factors[1:]):
-                k = _blocks(piece)
-                blocks += k
-                if blocks <= 255:
-                    shift = _SHIFT[k]
+                # A bytes code has at most 255 blocks, and so has every
+                # partial product; a tuple code's products go through _concat.
+                if isinstance(code, bytes):
+                    shift = _SHIFT[_blocks(piece)]
                     tails = [(y.translate(shift), cy) for y, cy in got.items()]
                     got = {x + y: cx * cy for x, cx in factor.items() for y, cy in tails}
                 else:
@@ -585,7 +593,7 @@ def _factored_codes(terms):
     """
     atoms = {code: _code_atoms(code) for code in terms if code}
     r = max(map(_blocks, itertools.chain.from_iterable(atoms.values())), default=0)
-    _check_growth(f"antipode of an atom of {r} blocks", f"3^{r}", lambda m: 3**m, r, "splits")
+    _check_splits("antipode of an atom", r)
     antipode_of, _ = _kernel()
     if len(terms) == 1:
         # The kernel's memo dies with this call, so its dict can be handed on.
@@ -651,8 +659,7 @@ def antipode_oracle(part):
     of r blocks are checked against the work limit first.
     """
     code = _basis_code(part)
-    r = _blocks(code)
-    _check_growth(f"antipode_oracle of {r} blocks", f"3^{r}", lambda m: 3**m, r, "splits")
+    _check_splits("antipode_oracle", _blocks(code))
     return NCSymElement._combine(_oracle_codes(code).items())
 
 
@@ -699,15 +706,14 @@ def primitive(part):
     Nonzero (and primitive) exactly when the input is atomic; zero for every
     other nonempty standard partition.  Undefined on the empty partition.
     """
-    r = _blocks(_primitive_code(part))
-    _check_growth(f"primitive of {r} blocks", f"3^{r}", lambda m: 3**m, r, "splits")
+    _check_splits("primitive", _blocks(_primitive_code(part)))
     return _primitives()(part)
 
 
 def _primitive_code(part):
     """The code of a nonempty standard partition, checked by ``_basis_code``:
-    the input check of ``primitive``, ``hall_primitive`` and
-    ``_primitive_anchored``, each of which then predicts its own work."""
+    the input check of ``primitive`` and ``_primitive_anchored``, each of
+    which then predicts its own work."""
     code = _basis_code(part)
     if not code:
         raise ValueError("primitive is undefined on the empty partition")
@@ -807,10 +813,11 @@ def hall_primitive(atoms):
     """Iterated commutator of primitive generators along the Hall bracketing.
 
     The atom word must be Lyndon in the atom order; a single atom gives its
-    primitive generator back.  Every letter is checked as ``primitive``
-    checks it before any work; the tree is then expanded on one source of
-    primitives (``_primitives``), which takes each distinct letter and
-    subtree once.
+    primitive generator back.  Every letter is checked once, as an atomic
+    standard partition, then the word is tested for Lyndon, then each
+    letter's 3^r splits are checked as ``primitive`` checks them, all before
+    any work; the tree is then expanded on one source of primitives
+    (``_primitives``), which takes each distinct letter and subtree once.
     """
     atoms = tuple(atoms)
     for atom in atoms:
@@ -822,8 +829,7 @@ def hall_primitive(atoms):
     if not is_lyndon(atoms, key=key):
         raise ValueError("atom word is not Lyndon in the atom order")
     for atom in atoms:
-        r = _blocks(_primitive_code(atom))
-        _check_growth(f"primitive of {r} blocks", f"3^{r}", lambda m: 3**m, r, "splits")
+        _check_splits("primitive", atom.length)
     return _primitives()(_hall_tree(atoms, key))
 
 
@@ -836,9 +842,7 @@ def lyndon_atom_words(total_weight):
     off the partitions whose key is Lyndon.  Their Bell(n) count is checked
     against the work limit first, which refuses weight 12 and up.
     """
-    n = total_weight
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"total weight must be a positive integer, got {n!r}")
+    n = _checked_size(total_weight, "total weight", 1)
     what = f"lyndon_atom_words of weight {n}"
     _check_growth(what, f"Bell({n})", lambda m: bell_numbers(m)[m], n, "partitions")
     return _lyndon_atom_words(set_partitions(n))
@@ -864,8 +868,7 @@ def _check_primitive_layer(what, n):
     """Refuse a weight ``n`` that is not a positive integer, or whose basis's
     reduced coproducts would take more splits than the work limit (from
     n = 10 on)."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"weight must be a positive integer, got {n!r}")
+    _checked_size(n, "weight", 1)
     _check_growth(f"{what} of weight {n}", "Σ_A 2^|A|", _split_count, n, "splits")
 
 

@@ -50,9 +50,12 @@ def word_from_obj(obj):
 
 
 def _coeff_from(text):
-    if not isinstance(text, str):
+    """The int of a coefficient string of exactly -?[0-9]+ in ASCII: ``int``
+    alone would also take signs, spaces, underscores and non-ASCII digits."""
+    digits = text.removeprefix("-") if isinstance(text, str) else ""
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"coefficient must be a decimal string, got {text!r}")
-    return int(text, 10)
+    return int(text)
 
 
 def _terms_to_obj(x, key_fields):

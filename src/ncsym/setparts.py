@@ -24,6 +24,8 @@ that order.  ``refinements`` is a product of each part's compositions, all
 of one string length per part, so product order is string order.
 
 ``bell_numbers`` and ``fubini_numbers`` count the two enumerations.
+``_checked_size`` is the package's one integer-argument check: sizes,
+weights and shift amounts are refused there with one message form.
 ``WORK_LIMIT`` is the package's one work limit, and ``_check_work`` its one
 check: ``cli``'s ``enumerate`` and every route in ``hopf`` predict their
 count of values, splits, compositions or terms and refuse, before any work,
@@ -244,8 +246,7 @@ class SetPartition(_Groups):
 
     def shift(self, k):
         """Add ``k`` to every element, preserving the block structure."""
-        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-            raise ValueError(f"shift amount must be a nonnegative integer, got {k!r}")
+        _checked_size(k, "shift amount")
         return SetPartition._of(tuple(tuple(e + k for e in b) for b in self.blocks))
 
     def standardize(self):
@@ -370,10 +371,17 @@ class SetComposition(_Groups):
         return i == len(self.parts)
 
     def evaluate(self, partition):
-        """Apply to a set partition: concat of standardized block selections."""
+        """Apply to a set partition: concat of standardized block selections.
+
+        The parts are canonical, sorted positive ints, so a part's last index
+        alone is checked against the block count; a part past it names its
+        least index out of range, as ``sub_partition`` would."""
+        blocks, n = partition.blocks, partition.length
         out = EMPTY_PARTITION
         for part in self.parts:
-            out = out._concat(partition.sub_partition(part).standardize())
+            if part[-1] > n:
+                raise ValueError(f"block index {next(i for i in part if i > n)} out of range 1..{n}")
+            out = out._concat(SetPartition._of(tuple(blocks[i - 1] for i in part)).standardize())
         return out
 
     __call__ = evaluate
@@ -391,9 +399,13 @@ def parse(text):
     return SetPartition.parse(text)
 
 
-def _checked_size(n):
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"size must be a nonnegative integer, got {n!r}")
+def _checked_size(n, what="size", least=0):
+    """``n`` when it is an int, not a bool, of at least ``least`` (0 or 1);
+    else ``ValueError("<what> must be a nonnegative integer, got <n!r>")``,
+    with "positive" for "nonnegative" when ``least`` is 1."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < least:
+        sign = "positive" if least else "nonnegative"
+        raise ValueError(f"{what} must be a {sign} integer, got {n!r}")
     return n
 
 

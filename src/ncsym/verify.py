@@ -203,20 +203,12 @@ def check_combinatorics(max_weight, rng, partitions):
 
 
 def check_coassociativity(max_weight, rng, partitions):
+    # The sums are compared as maps, so the terms are read unsorted.
+    delta = lambda part: hopf.coproduct(NCSymElement.from_partition(part))._decoded()
     for part in _partition_pool(max_weight, rng, partitions):
-        delta = hopf.coproduct(NCSymElement.from_partition(part))
-        first = {}
-        second = {}
-        # The sums are compared as maps, so the terms are read unsorted.
-        for (p, q), c in delta._decoded():
-            for (p1, p2), c2 in hopf.coproduct(NCSymElement.from_partition(p))._decoded():
-                key = (p1, p2, q)
-                first[key] = first.get(key, 0) + c * c2
-            for (q1, q2), c2 in hopf.coproduct(NCSymElement.from_partition(q))._decoded():
-                key = (p, q1, q2)
-                second[key] = second.get(key, 0) + c * c2
-        first = {k: v for k, v in first.items() if v}
-        second = {k: v for k, v in second.items() if v}
+        terms = delta(part)
+        first = hopf._summed(((a, b, q), c * d) for (p, q), c in terms for (a, b), d in delta(p))
+        second = hopf._summed(((p, a, b), c * d) for (p, q), c in terms for (a, b), d in delta(q))
         yield first == second, f"coassociativity {part!r}"
 
 
@@ -460,8 +452,7 @@ CHECK_NAMES = tuple(name for name, _ in _CHECKS)
 
 def run_checks(max_weight=4, names=None, seed=0):
     """Run the named checks (all by default) and return their results."""
-    if not isinstance(max_weight, int) or isinstance(max_weight, bool) or max_weight < 0:
-        raise ValueError(f"max weight must be a nonnegative integer, got {max_weight!r}")
+    setparts._checked_size(max_weight, "max weight")
     if max_weight > MAX_WEIGHT:
         raise ValueError(f"max weight must be at most {MAX_WEIGHT}, got {max_weight}")
     table = dict(_CHECKS)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 
-from .setparts import SetComposition, _check_growth, _check_work, _Groups, fubini_numbers
+from .setparts import SetComposition, _check_growth, _check_work, _checked_size, _Groups, fubini_numbers
 
 __all__ = [
     "Word",
@@ -226,12 +226,14 @@ def restriction_tensor_sum(r, keep_left, keep_right):
     For each composition gamma of {1..r} with 1 in its first part, adds
     (-1)^length to the tensor key (gamma restricted to ``keep_left``, gamma
     restricted to ``keep_right``); returns the combined nonzero terms.
-    Requires ``keep_left`` to be a proper subset containing 1 and the two
-    sets to split {1..r} disjointly.  Summed by first parts on a fresh
-    ``_restriction_kernel``, not by enumerating the compositions; the
-    2·Fubini(r-1) anchored compositions are checked against the work limit
-    first, so r = 9 and up are refused.
+    Requires ``r`` to be a nonnegative int, checked first, ``keep_left`` to
+    be a proper subset containing 1 and the two sets to split {1..r}
+    disjointly.  Summed by first parts on a fresh ``_restriction_kernel``,
+    not by enumerating the compositions; the 2·Fubini(r-1) anchored
+    compositions are checked against the work limit first, so r = 9 and up
+    are refused.
     """
+    _checked_size(r)
     what, formula = f"restriction_tensor_sum of {r} elements", f"2·Fubini({r - 1})"
     # Checked before the sets, so that no size builds a set of {1..r}; a
     # size under 2 passes here and is refused below.

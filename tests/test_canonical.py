@@ -18,16 +18,21 @@ from ncsym import (
     SetPartition,
     TensorElement,
     Word,
+    anchored_compositions,
     antipode,
+    atomic_set_partitions,
     compositions_of,
     coproduct,
+    hopf,
     left_quasi_shuffle,
     pairing,
     quasi_shuffle,
     refinements,
+    restriction_tensor_sum,
     serialize,
     set_compositions,
     set_partitions,
+    verify,
 )
 from ncsym.cli import main
 
@@ -206,6 +211,69 @@ class TestBoundaryStaysStrict:
         _raises(TypeError, message, lambda: NCSymElement({"1": 1}))
         message = "tensor keys must be pairs of partitions"
         _raises(TypeError, message, lambda: TensorElement({P("1"): 1}))
+
+    @pytest.mark.parametrize("text", ["١", "1_000", " -2 ", "+1", "-", "", "--1", "1.0", 1])
+    def test_coefficient_strings_are_ascii_decimals_only(self, text):
+        # int(text, 10) alone would read "١" as 1, "1_000" as 1000, " -2 "
+        # as -2 and "+1" as 1.
+        message = f"coefficient must be a decimal string, got {text!r}"
+        obj = {"terms": [{"coeff": text, "partition": [[1]]}]}
+        _raises(ValueError, message, lambda: serialize.element_from_obj(obj))
+        obj = {"terms": [{"coeff": text, "left": [[1]], "right": []}]}
+        _raises(ValueError, message, lambda: serialize.tensor_from_obj(obj))
+
+    def test_coefficient_strings_read_as_decimals(self):
+        obj = {"terms": [{"coeff": c, "partition": [[1]]} for c in ("-12", "007", "0")]}
+        assert serialize.element_from_obj(obj) == NCSymElement({P("1"): -5})
+
+    @pytest.mark.parametrize("bad", [-1, True, 1.5])
+    @pytest.mark.parametrize(
+        "what, call",
+        [
+            pytest.param(
+                "shift amount must be a nonnegative", lambda k: P("12.3").shift(k), id="shift"
+            ),
+            *(
+                pytest.param("size must be a nonnegative", stream, id=stream.__name__)
+                for stream in (
+                    set_partitions,
+                    atomic_set_partitions,
+                    set_compositions,
+                    anchored_compositions,
+                    verify.growth_string_count,
+                )
+            ),
+            pytest.param(
+                "size must be a nonnegative",
+                lambda n: verify.quasi_shuffle_count(n, 2),
+                id="quasi_shuffle_count-k",
+            ),
+            pytest.param(
+                "size must be a nonnegative",
+                lambda n: verify.quasi_shuffle_count(2, n),
+                id="quasi_shuffle_count-l",
+            ),
+            pytest.param(
+                "size must be a nonnegative",
+                lambda r: restriction_tensor_sum(r, {1}, {2}),
+                id="restriction_tensor_sum",
+            ),
+            pytest.param(
+                "max weight must be a nonnegative",
+                lambda n: verify.run_checks(n, ["cardinalities"]),
+                id="run_checks",
+            ),
+            pytest.param(
+                "total weight must be a positive", hopf.lyndon_atom_words, id="lyndon_atom_words"
+            ),
+            *(
+                pytest.param("weight must be a positive", layer, id=layer.__name__)
+                for layer in (hopf.primitive_space_dimension, hopf.hall_span_check)
+            ),
+        ],
+    )
+    def test_integer_arguments_share_one_check(self, what, call, bad):
+        _raises(ValueError, f"{what} integer, got {bad!r}", lambda: call(bad))
 
     @pytest.mark.parametrize("flag", [True, False])
     def test_bool_coefficients(self, flag):

@@ -193,6 +193,18 @@ class TestCompositionOps:
         with pytest.raises(ValueError, match="out of range"):
             C("13|2")(P("1.2"))
 
+    def test_evaluate_names_the_least_index_out_of_range(self):
+        # A later part leaves the partition's blocks; the first such part
+        # names its least index past them.
+        for gamma, message in (
+            ("1|24", "block index 4 out of range 1..3"),
+            ("2|45", "block index 4 out of range 1..3"),
+            ("3|5|4", "block index 5 out of range 1..3"),
+        ):
+            with pytest.raises(ValueError) as refused:
+                C(gamma)(P("1.2.3"))
+            assert str(refused.value) == message
+
     def test_evaluate_empty_composition(self):
         assert EMPTY_COMPOSITION(P("12.3")) == EMPTY_PARTITION
 

@@ -165,6 +165,21 @@ def test_counts_refuse_a_size_that_is_not_a_nonnegative_integer():
             assert str(refused.value) == message
 
 
+def test_coassociativity_fails_on_a_broken_coproduct(monkeypatch):
+    # Every (A, ∅) leg doubled: only the empty partition, whose one leg is
+    # (∅, ∅) on both sides, stays coassociative.
+    coproduct = hopf.coproduct
+
+    def doubled(x):
+        delta = coproduct(x)
+        return delta + hopf.TensorElement((key, c) for key, c in delta.items() if not key[1].weight)
+
+    monkeypatch.setattr(hopf, "coproduct", doubled)
+    [result] = verify.run_checks(max_weight=4, names=["coassociativity"])
+    assert result.cases == sum(setparts.bell_numbers(4)) == 24
+    assert len(result.failures) == 23 and "coassociativity SetPartition('∅')" not in result.failures
+
+
 def test_names_refuse_a_string():
     # A string would be read as its characters: "unknown check 'h'".
     with pytest.raises(TypeError, match="not the string 'hall-span'"):

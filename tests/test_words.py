@@ -300,6 +300,15 @@ class TestRestriction:
         with pytest.raises(ValueError):
             restriction_tensor_sum(3, {1, 2}, {2, 3})
 
+    @pytest.mark.parametrize("bad", [2.5, "3"])
+    def test_tensor_sum_checks_its_size_first(self, bad):
+        # Unchecked, both end in a TypeError inside the work prediction;
+        # -1 and True are among every integer argument's cases in
+        # test_canonical.py.
+        with pytest.raises(ValueError) as refused:
+            restriction_tensor_sum(bad, {1}, {2})
+        assert str(refused.value) == f"size must be a nonnegative integer, got {bad!r}"
+
     def test_unanchored_analogue_does_not_vanish(self):
         # dropping the anchor condition breaks the cancellation, so the
         # vanishing above is not an artifact of the bookkeeping

@@ -9,7 +9,12 @@ One ``<sha256>  <what>`` line each for:
   routes and ``primitive`` on every standard partition of weight 1 to 6, in
   ``set_partitions`` order, one line per partition;
 * the same for ``antipode_factored`` and ``primitive`` on every standard
-  partition of weight 7.
+  partition of weight 7;
+* the refusals, one ``<type>: <message>`` line per call, of each
+  integer-argument entry point called with -1, True, 1.5 and "2", and of
+  each route that predicts 3^r splits (``antipode_factored``,
+  ``antipode_oracle``, ``primitive``, ``hall_primitive``) on a 13-block
+  atom.
 
 Usage: ``python tools/fingerprint.py``.  It runs the ``src`` tree beside it,
 so the same file run from two checkouts compares them.
@@ -28,9 +33,19 @@ def _digest(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def _refusal(call):
+    """``<type>: <message>`` of the exception ``call()`` raises, or
+    ``accepted`` when it raises none."""
+    try:
+        call()
+    except (TypeError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "accepted"
+
+
 def main():
     sys.path.insert(0, str(SRC))
-    from ncsym import NCSymElement, hopf, set_partitions
+    from ncsym import NCSymElement, SetPartition, hopf, setparts, set_partitions, verify
 
     env = dict(os.environ, PYTHONPATH=str(SRC))
     for seed in range(3):
@@ -55,6 +70,31 @@ def main():
     for name in ("antipode_factored", "primitive"):
         text = "".join(f"{calls[name](part)}\n" for part in parts)
         print(f"{_digest(text.encode())}  {name} on the {len(parts)} partitions of weight 7")
+    integer_calls = [
+        lambda n: SetPartition.parse("12.3").shift(n),
+        set_partitions,
+        setparts.atomic_set_partitions,
+        setparts.set_compositions,
+        setparts.anchored_compositions,
+        verify.growth_string_count,
+        lambda n: verify.quasi_shuffle_count(n, 2),
+        lambda n: verify.quasi_shuffle_count(2, n),
+        lambda n: verify.run_checks(n, ["cardinalities"]),
+        hopf.lyndon_atom_words,
+        hopf.primitive_space_dimension,
+        hopf.hall_span_check,
+    ]
+    atom = SetPartition.parse("1,14.2.3.4.5.6.7.8.9.10.11.12.13")
+    split_calls = [
+        hopf.antipode_factored,
+        hopf.antipode_oracle,
+        hopf.primitive,
+        lambda atom: hopf.hall_primitive([atom]),
+    ]
+    refusals = [_refusal(lambda: call(bad)) for call in integer_calls for bad in (-1, True, 1.5, "2")]
+    refusals += [_refusal(lambda: call(atom)) for call in split_calls]
+    text = "".join(f"{line}\n" for line in refusals)
+    print(f"{_digest(text.encode())}  refusals of {len(refusals)} integer-argument and 3^r calls")
 
 
 if __name__ == "__main__":
