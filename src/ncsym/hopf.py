@@ -20,10 +20,11 @@ the oracle, for ``primitive`` and for each letter of ``hall_primitive`` (all
 four by ``_check_splits``), Fubini(r) compositions for the full sum,
 and 2 Fubini(r - 1) for the anchored sum.  The default route also refuses a
 product over the atoms whose Π|S(atom)| terms exceed the limit, before it
-multiplies.  The primitive layer predicts from the weight n: Bell(n)
-partitions for the Lyndon atom words, and Σ 2^|A| reduced-coproduct splits
-over the partitions A of [n] for the primitive-space dimension and the Hall
-span.
+multiplies, and the Hall expansion a bracket whose two products would form
+2·|left|·|right| term products past it.  The primitive layer predicts from
+the weight n: Bell(n) partitions for the Lyndon atom words, and Σ 2^|A|
+reduced-coproduct splits over the partitions A of [n] for the
+primitive-space dimension and the Hall span.
 
 The primitive generator of A, the signed sum over the compositions anchored
 at 1, is computed as primitive(A) = sum over the block sets K holding block
@@ -795,7 +796,8 @@ def _primitives():
     each bracket subtree is taken once per source, and every primitive
     reads the one kernel memo, so the antipodes of the tails they share are
     each taken once.  The leaves are trusted: callers check them, and their
-    3^r limit, first.
+    3^r limit, first.  A bracket whose two products would form 2·|left|·|right|
+    term products past the work limit is refused before it multiplies.
     """
     _, first_part_sum = _kernel()
 
@@ -804,6 +806,8 @@ def _primitives():
         if isinstance(tree, SetPartition):
             return NCSymElement._wrap(first_part_sum(_encode(tree)))
         left, right = of(tree[0]), of(tree[1])
+        size = 2 * len(left._terms) * len(right._terms)
+        _check_work("bracket of two primitives", "2·|left|·|right|", size, "products")
         return left * right - right * left
 
     return of
@@ -893,9 +897,11 @@ def _primitive_space_dimension(partitions):
 def hall_span_check(n):
     """True when the weight-n Hall primitives are independent and span the
     primitive subspace.  Refused, before anything is enumerated, where
-    ``primitive_space_dimension`` is."""
+    ``primitive_space_dimension`` is; the weight's partitions are then
+    enumerated once, for both the Lyndon words and the dimension."""
     _check_primitive_layer("hall_span_check", n)
-    return _hall_span(n, lyndon_atom_words(n), primitive_space_dimension(n))
+    partitions = list(set_partitions(n))
+    return _hall_span(n, _lyndon_atom_words(partitions), _primitive_space_dimension(partitions))
 
 
 def _hall_span(n, words, dim):

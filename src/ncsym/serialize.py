@@ -3,12 +3,20 @@
 Partitions, compositions, and words encode as nested arrays of ints.
 Elements encode as ``{"terms": [{"coeff": "<signed decimal string>",
 "partition": [[...], ...]}, ...]}`` with terms sorted by the canonical
-partition string; coefficients travel as strings so arbitrary precision
-survives any JSON reader bit-exactly.  Tensor combinations use the same
-shape with ``"left"``/``"right"`` factors.
+partition string; coefficients travel as decimal strings, so they survive
+any JSON reader bit-exactly up to the interpreter's limit on int/str
+conversion (``sys.get_int_max_str_digits()``, 4 300 digits by default, 0 for
+none): the decoders refuse a longer digit string, and encoding a longer
+coefficient raises the interpreter's own ``ValueError``.  Tensor
+combinations use the same shape with ``"left"``/``"right"`` factors.  The
+three ``*_from_obj`` decoders of partitions, compositions and words are the
+validating constructors ``SetPartition``, ``SetComposition`` and ``Word``
+under a second name.
 """
 
 from __future__ import annotations
+
+import sys
 
 from .hopf import NCSymElement, TensorElement
 from .setparts import SetComposition, SetPartition
@@ -35,26 +43,19 @@ def partition_to_obj(value):
 
 
 composition_to_obj = word_to_obj = partition_to_obj
-
-
-def partition_from_obj(obj):
-    return SetPartition(obj)
-
-
-def composition_from_obj(obj):
-    return SetComposition(obj)
-
-
-def word_from_obj(obj):
-    return Word(obj)
+partition_from_obj, composition_from_obj, word_from_obj = SetPartition, SetComposition, Word
 
 
 def _coeff_from(text):
     """The int of a coefficient string of exactly -?[0-9]+ in ASCII: ``int``
-    alone would also take signs, spaces, underscores and non-ASCII digits."""
+    alone would also take signs, spaces, underscores and non-ASCII digits.
+    More digits than the interpreter converts are refused first."""
     digits = text.removeprefix("-") if isinstance(text, str) else ""
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"coefficient must be a decimal string, got {text!r}")
+    limit = sys.get_int_max_str_digits()
+    if limit and len(digits) > limit:
+        raise ValueError(f"coefficient has {len(digits)} digits, over the limit of {limit}")
     return int(text)
 
 

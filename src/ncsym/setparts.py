@@ -23,6 +23,8 @@ digits.  ``atomic_set_partitions`` filters ``set_partitions``, so it keeps
 that order.  ``refinements`` is a product of each part's compositions, all
 of one string length per part, so product order is string order.
 
+``SetPartition._cuts`` is the one cut rule: ``atoms`` slices the blocks at
+its cuts and ``is_atomic`` asks whether the first comes after the last block.
 ``bell_numbers`` and ``fubini_numbers`` count the two enumerations.
 ``_checked_size`` is the package's one integer-argument check: sizes,
 weights and shift amounts are refused there with one message form.
@@ -274,49 +276,38 @@ class SetPartition(_Groups):
 
     sub_partition = _Groups._select
 
-    def is_atomic(self):
-        """True when no proper prefix {1..m} is a union of whole blocks.
-
-        Equivalent test: every boundary m in 1..n-1 lies strictly inside some
-        block's [min, max) span.  The empty partition is not atomic.
-        """
-        if not self.is_standard():
-            raise ValueError("atomicity requires a standard partition")
-        n = self.weight
-        if n == 0:
-            return False
-        reach = 0
-        for block in self.blocks:
-            if block[0] > reach + 1:
-                return False
-            if block[-1] - 1 > reach:
-                reach = block[-1] - 1
-        return reach >= n - 1
-
-    def atoms(self):
-        """Maximal splitting into atomic factors.
-
-        Scans blocks in minima order and cuts whenever the blocks seen since
-        the previous cut cover a full segment; folding ``concat`` back over
-        the result reproduces ``self``.
-        """
-        if not self.is_standard():
-            raise ValueError("atomic factorization requires a standard partition")
-        out = []
-        chunk = []
-        count = 0
-        top = 0
-        base = 0
-        for block in self.blocks:
-            chunk.append(block)
+    def _cuts(self):
+        """Each (i, m) at which the first i blocks cover exactly {1..m}, for a
+        standard partition: the one cut rule of ``atoms`` and ``is_atomic``.
+        The blocks hold distinct positive ints in minima order, so that holds
+        exactly when their largest element equals their element count."""
+        top = count = 0
+        for i, block in enumerate(self.blocks, 1):
             count += len(block)
             if block[-1] > top:
                 top = block[-1]
-            if top - base == count:
-                out.append(SetPartition._of(tuple(tuple(e - base for e in b) for b in chunk)))
-                base = top
-                chunk = []
-                count = 0
+            if top == count:
+                yield i, count
+
+    def is_atomic(self):
+        """True when no proper prefix {1..m} is a union of whole blocks: the
+        first cut comes after the last block, where a nonempty standard
+        partition always has one.  The empty partition is not atomic."""
+        if not self.is_standard():
+            raise ValueError("atomicity requires a standard partition")
+        return self.length > 0 and next(self._cuts())[0] == self.length
+
+    def atoms(self):
+        """Maximal splitting into atomic factors: the blocks sliced at the
+        cuts, each run relabelled from 1; folding ``concat`` back over the
+        result reproduces ``self``."""
+        if not self.is_standard():
+            raise ValueError("atomic factorization requires a standard partition")
+        out, start, base = [], 0, 0
+        for i, m in self._cuts():
+            chunk = self.blocks[start:i]
+            out.append(SetPartition._of(tuple(tuple(e - base for e in b) for b in chunk)))
+            start, base = i, m
         return tuple(out)
 
 

@@ -82,14 +82,12 @@ def quasi_shuffle_count(k, l):
 def _growth_string_partitions(n):
     """Each set partition of {1..n}, unsorted, by a walk over restricted
     growth strings (label i is the block holding i + 1, blocks in minima
-    order): a code path independent of ``setparts``' enumeration."""
+    order), each decoded by ``hopf._decode``: a code path independent of
+    ``setparts``' enumeration."""
 
     def walk(labels, top):
         if len(labels) == n:
-            blocks = [[] for _ in range(top + 1)]
-            for x, label in enumerate(labels, 1):
-                blocks[label].append(x)
-            yield SetPartition._of(tuple(map(tuple, blocks)))
+            yield hopf._decode(labels)
         else:
             for v in range(top + 2):
                 yield from walk(labels + [v], max(top, v))

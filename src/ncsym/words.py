@@ -24,7 +24,9 @@ run and hands it all its splits.
 The Lyndon helpers (``is_lyndon``, ``lyndon_split``, ``hall_tree``) work on
 any Python sequence of letters, with an optional ``key`` supplying the letter
 order; leaves of a Hall tree are the letters themselves, so letters must not
-be 2-tuples.
+be 2-tuples.  Each compares the word with copies of its suffixes, and
+``is_lyndon``, which the other two call first, predicts the n·(n - 1)
+suffix letters of an n-letter word and refuses it over the work limit.
 """
 
 from __future__ import annotations
@@ -300,11 +302,19 @@ def _restriction_kernel(r):
 
 
 def is_lyndon(word, key=None):
-    """True when the word is strictly smaller than all its proper suffixes."""
+    """True when the word is strictly smaller than all its proper suffixes.
+
+    Each proper suffix is copied and compared with the word: n·(n - 1)/2
+    letters copied and at most as many compared, n·(n - 1) in all, and
+    ``lyndon_split`` and ``hall_tree`` copy as many again per split.  A word
+    whose n·(n - 1) exceeds the work limit (1 001 letters and up) is refused
+    before any comparison."""
     seq = [key(x) for x in word] if key is not None else list(word)
-    if not seq:
+    n = len(seq)
+    if not n:
         raise ValueError("empty word")
-    return all(seq < seq[i:] for i in range(1, len(seq)))
+    _check_work(f"is_lyndon of {n} letters", f"{n}·{n - 1}", n * (n - 1), "suffix letters")
+    return all(seq < seq[i:] for i in range(1, n))
 
 
 def lyndon_split(word, key=None):

@@ -7,6 +7,7 @@ entries must still reject bad data with their documented messages.
 
 import itertools
 import re
+import sys
 
 import pytest
 
@@ -225,6 +226,36 @@ class TestBoundaryStaysStrict:
     def test_coefficient_strings_read_as_decimals(self):
         obj = {"terms": [{"coeff": c, "partition": [[1]]} for c in ("-12", "007", "0")]}
         assert serialize.element_from_obj(obj) == NCSymElement({P("1"): -5})
+
+    @pytest.fixture
+    def digit_limit(self):
+        """Sets the interpreter's int/str digit limit for one test."""
+        saved = sys.get_int_max_str_digits()
+        yield sys.set_int_max_str_digits
+        sys.set_int_max_str_digits(saved)
+
+    def test_coefficient_past_the_digit_limit_is_refused(self, digit_limit):
+        # The interpreter converts at most sys.get_int_max_str_digits() digits
+        # (4 300 by default, 0 for no limit); the decoders name the limit
+        # before int() would raise its own message.
+        digit_limit(4300)
+        message = "coefficient has 5000 digits, over the limit of 4300"
+        for sign in ("", "-"):
+            obj = {"terms": [{"coeff": sign + "7" * 5000, "partition": [[1]]}]}
+            _raises(ValueError, message, lambda: serialize.element_from_obj(obj))
+            obj = {"terms": [{"coeff": sign + "7" * 5000, "left": [[1]], "right": []}]}
+            _raises(ValueError, message, lambda: serialize.tensor_from_obj(obj))
+            text = sign + "7" * 4300
+            obj = {"terms": [{"coeff": text, "partition": [[1]]}]}
+            assert serialize.element_from_obj(obj) == NCSymElement({P("1"): int(text)})
+        digit_limit(0)
+        obj = {"terms": [{"coeff": "7" * 5000, "partition": [[1]]}]}
+        assert serialize.element_from_obj(obj) == NCSymElement({P("1"): int("7" * 5000)})
+
+    def test_decoders_are_the_constructors(self):
+        assert serialize.partition_from_obj is SetPartition
+        assert serialize.composition_from_obj is SetComposition
+        assert serialize.word_from_obj is Word
 
     @pytest.mark.parametrize("bad", [-1, True, 1.5])
     @pytest.mark.parametrize(

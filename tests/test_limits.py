@@ -5,7 +5,16 @@ size under it."""
 
 import pytest
 
-from ncsym import NCSymElement, SetPartition, Word, cli, hopf, set_partitions, words
+from ncsym import (
+    NCSymElement,
+    SetPartition,
+    Word,
+    atomic_set_partitions,
+    cli,
+    hopf,
+    set_partitions,
+    words,
+)
 from ncsym.cli import main
 
 
@@ -253,3 +262,64 @@ def test_primitive_layer_predicts_its_coproduct_splits():
     for n in range(8):
         assert hopf._split_count(n) == sum(2**part.length for part in set_partitions(n))
     assert [hopf._split_count(n) for n in (8, 9, 10)] == [89918, 610182, 4412798]
+
+
+LYNDON = "is_lyndon of 1001 letters: predicted 1001·1000 = 1001000 suffix letters (limit 1000000)"
+
+
+@pytest.mark.parametrize(
+    "call, step",
+    [(words.is_lyndon, None), (words.lyndon_split, "_split"), (words.hall_tree, "_hall_tree")],
+    ids=["is_lyndon", "lyndon_split", "hall_tree"],
+)
+def test_lyndon_routines_refuse_past_1000_letters(monkeypatch, call, step):
+    # Each suffix of an n-letter word is copied and compared: n·(n - 1)
+    # letters, over the limit from 1 001 letters on.
+    with pytest.raises(ValueError) as refused:
+        call("a" * 1000 + "b")
+    assert str(refused.value) == LYNDON
+    comb = "a" * 999 + "b"
+    if step is None:
+        assert call(comb) is True
+    else:
+        monkeypatch.setattr(words, step, reached)
+        with pytest.raises(Reached):
+            call(comb)
+
+
+@pytest.mark.parametrize("command", ["lyndon", "hall"])
+def test_lyndon_commands_refuse_past_1000_letters(capsys, command):
+    for word in ("a" * 1000 + "b", "a" * 131070 + "b"):
+        assert main([command, word]) == 2
+        n = len(word)
+        message = f"is_lyndon of {n} letters: predicted {n}·{n - 1} = {n * (n - 1)} suffix letters"
+        assert capsys.readouterr() == ("", f"error: {message} (limit 1000000)\n")
+
+
+def test_hall_of_the_accepted_comb_ends_at_the_recursion_limit(capsys):
+    # The 1 000-letter comb a…ab passes the prediction, but its Hall tree is
+    # a thousand levels deep: it ends as an input too large, not a traceback.
+    assert main(["hall", "a" * 999 + "b"]) == 2
+    assert capsys.readouterr() == ("", "error: input too large: recursion limit exceeded\n")
+
+
+def test_hall_bracket_refused_before_multiplying(monkeypatch):
+    # A 12-letter Lyndon word of weight-5 atoms, a (x1..x5) a (y1..y5) with a
+    # the least letter and x1 < y1, splits into two six-letter combs whose
+    # primitives have 1 350 and 1 920 terms: their bracket is refused.
+    atoms = sorted(atomic_set_partitions(5), key=hopf.atom_key)
+    word = [atoms[0], *atoms[1:6], atoms[0], *atoms[6:11]]
+    sizes = []
+    multiply = NCSymElement.__mul__
+
+    def counted(x, y):
+        sizes.append(len(x._terms) * len(y._terms))
+        return multiply(x, y)
+
+    monkeypatch.setattr(NCSymElement, "__mul__", counted)
+    with pytest.raises(ValueError) as refused:
+        hopf.hall_primitive(word)
+    assert str(refused.value) == (
+        "bracket of two primitives: predicted 2·|left|·|right| = 5184000 products (limit 1000000)"
+    )
+    assert max(sizes) < 10**6 // 2

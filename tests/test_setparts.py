@@ -371,3 +371,57 @@ class TestLazyEnumeration:
                     stream(flag)
         with pytest.raises(TypeError, match="refinements expects a set composition"):
             refinements("1|2")
+
+
+def scanned_is_atomic(part):
+    """``is_atomic`` by the reach scan it used before the one cut rule: every
+    boundary m in 1..n-1 lies strictly inside some block's [min, max) span."""
+    n = part.weight
+    if n == 0:
+        return False
+    reach = 0
+    for block in part.blocks:
+        if block[0] > reach + 1:
+            return False
+        reach = max(reach, block[-1] - 1)
+    return reach >= n - 1
+
+
+def scanned_atoms(part):
+    """``atoms`` by the chunk scan it used before the one cut rule: a cut
+    whenever the blocks since the previous cut cover a full segment."""
+    out, chunk, count, top, base = [], [], 0, 0, 0
+    for block in part.blocks:
+        chunk.append(block)
+        count += len(block)
+        top = max(top, block[-1])
+        if top - base == count:
+            out.append(SetPartition([tuple(e - base for e in b) for b in chunk]))
+            base, chunk, count = top, [], 0
+    return tuple(out)
+
+
+class TestCutScan:
+    def test_equals_the_two_scans_through_weight_nine(self):
+        for n in range(10):
+            for part in set_partitions(n):
+                assert part.atoms() == scanned_atoms(part), part
+                assert part.is_atomic() == scanned_is_atomic(part), part
+
+    def test_equals_the_two_scans_past_255_blocks(self):
+        # 300 singletons, 150 copies of the atom 13.2, one atom of 301 blocks
+        # and the three concatenated: every code past a byte.
+        singletons = SetPartition([(i,) for i in range(1, 301)])
+        copies = SetPartition([b for k in range(0, 450, 3) for b in ((k + 1, k + 3), (k + 2,))])
+        atom = SetPartition([(1, 302)] + [(i,) for i in range(2, 302)])
+        joined = singletons.concat(atom).concat(copies)
+        for part in (singletons, copies, atom, joined):
+            assert part.length > 255
+            assert part.atoms() == scanned_atoms(part)
+            assert part.is_atomic() == scanned_is_atomic(part)
+        assert [len(p.atoms()) for p in (singletons, copies, atom, joined)] == [300, 150, 1, 451]
+
+    def test_cuts_are_the_segment_prefixes(self):
+        assert list(P("12.346.57.8")._cuts()) == [(1, 2), (3, 7), (4, 8)]
+        assert list(P("17.235.4.68")._cuts()) == [(4, 8)]
+        assert list(EMPTY_PARTITION._cuts()) == []

@@ -427,3 +427,13 @@ class TestLyndon:
                 if is_lyndon("".join(word))
             )
             assert count == oracle(n)
+
+
+def test_delannoy_prediction_equals_the_count_recurrence():
+    # The sum the quasi-shuffle limits predict from against verify's
+    # recurrence, everywhere the sum is exact (min(k, l) <= 21).
+    from ncsym.verify import quasi_shuffle_count
+
+    for k in range(22):
+        for l in range(22):
+            assert words._delannoy(k, l) == quasi_shuffle_count(k, l), (k, l)

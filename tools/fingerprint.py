@@ -14,7 +14,9 @@ One ``<sha256>  <what>`` line each for:
   integer-argument entry point called with -1, True, 1.5 and "2", and of
   each route that predicts 3^r splits (``antipode_factored``,
   ``antipode_oracle``, ``primitive``, ``hall_primitive``) on a 13-block
-  atom.
+  atom;
+* ``atoms()`` and ``is_atomic()`` of every standard partition of weight 0
+  to 9, one line per partition.
 
 Usage: ``python tools/fingerprint.py``.  It runs the ``src`` tree beside it,
 so the same file run from two checkouts compares them.
@@ -95,6 +97,13 @@ def main():
     refusals += [_refusal(lambda: call(atom)) for call in split_calls]
     text = "".join(f"{line}\n" for line in refusals)
     print(f"{_digest(text.encode())}  refusals of {len(refusals)} integer-argument and 3^r calls")
+    parts = [part for n in range(10) for part in set_partitions(n)]
+    text = ""
+    for part in parts:
+        atoms = "|".join(atom.format("extended") for atom in part.atoms())
+        text += f"{part.format('extended')} {atoms} {part.is_atomic()}\n"
+    what = f"atoms and is_atomic of the {len(parts)} partitions of weight 0-9"
+    print(f"{_digest(text.encode())}  {what}")
 
 
 if __name__ == "__main__":
