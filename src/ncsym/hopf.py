@@ -20,11 +20,11 @@ the oracle, for ``primitive`` and for each letter of ``hall_primitive`` (all
 four by ``_check_splits``), Fubini(r) compositions for the full sum,
 and 2 Fubini(r - 1) for the anchored sum.  The default route also refuses a
 product over the atoms whose Π|S(atom)| terms exceed the limit, before it
-multiplies, and the Hall expansion a bracket whose two products would form
-2·|left|·|right| term products past it.  The primitive layer predicts from
-the weight n: Bell(n) partitions for the Lyndon atom words, and Σ 2^|A|
-reduced-coproduct splits over the partitions A of [n] for the
-primitive-space dimension and the Hall span.
+multiplies, and ``hall_primitive`` a word of k letters whose expansion could
+reach 2^(k-1)·Π|P(letter)| terms past it, before any bracket.  The
+primitive layer predicts from the weight n: Bell(n) partitions for the
+Lyndon atom words, and Σ 2^|A| reduced-coproduct splits over the partitions
+A of [n] for the primitive-space dimension and the Hall span.
 
 The primitive generator of A, the signed sum over the compositions anchored
 at 1, is computed as primitive(A) = sum over the block sets K holding block
@@ -39,8 +39,9 @@ referees it in ``verify`` and the tests.  Every primitive is taken from one
 private source, ``_primitives()``: built on one kernel, it maps a partition,
 or a Hall tree of atoms, to its element and keeps each leaf and each bracket
 subtree for its lifetime.  ``primitive`` and ``hall_primitive`` read a fresh
-source per call, after their checks; the Hall span and ``verify``'s
-unitriangular check read one source for all their trusted atoms.
+source per call, after their checks on the letters (``hall_primitive`` then
+predicts its word's size from the letters' primitives); the Hall span and
+``verify``'s unitriangular check read one source for all their trusted atoms.
 
 The antipode also has a cancellation-free formula, checked in the tests but
 not a route (it measured slower than the default one): S(p_A) = sum of
@@ -795,9 +796,8 @@ def _primitives():
     left * right - right * left of its subtrees' elements.  Each leaf and
     each bracket subtree is taken once per source, and every primitive
     reads the one kernel memo, so the antipodes of the tails they share are
-    each taken once.  The leaves are trusted: callers check them, and their
-    3^r limit, first.  A bracket whose two products would form 2·|left|·|right|
-    term products past the work limit is refused before it multiplies.
+    each taken once.  The trees are trusted: callers check the leaves and
+    their 3^r limit first, and ``hall_primitive`` its tree's size.
     """
     _, first_part_sum = _kernel()
 
@@ -806,8 +806,6 @@ def _primitives():
         if isinstance(tree, SetPartition):
             return NCSymElement._wrap(first_part_sum(_encode(tree)))
         left, right = of(tree[0]), of(tree[1])
-        size = 2 * len(left._terms) * len(right._terms)
-        _check_work("bracket of two primitives", "2·|left|·|right|", size, "products")
         return left * right - right * left
 
     return of
@@ -819,8 +817,11 @@ def hall_primitive(atoms):
     The atom word must be Lyndon in the atom order; a single atom gives its
     primitive generator back.  Every letter is checked once, as an atomic
     standard partition, then the word is tested for Lyndon, then each
-    letter's 3^r splits are checked as ``primitive`` checks them, all before
-    any work; the tree is then expanded on one source of primitives
+    letter's 3^r splits are checked as ``primitive`` checks them.  The
+    letters' primitives are then taken, and the word is refused, before any
+    bracket, when 2^(k-1)·Π|P(letter)| over its k letters exceeds the work
+    limit: a bracket [u, v] has at most 2|u||v| terms, so that bounds the
+    whole expansion.  The tree is expanded on the same source of primitives
     (``_primitives``), which takes each distinct letter and subtree once.
     """
     atoms = tuple(atoms)
@@ -834,7 +835,10 @@ def hall_primitive(atoms):
         raise ValueError("atom word is not Lyndon in the atom order")
     for atom in atoms:
         _check_splits("primitive", atom.length)
-    return _primitives()(_hall_tree(atoms, key))
+    of, k = _primitives(), len(atoms)
+    size = 2 ** (k - 1) * math.prod(len(of(atom)._terms) for atom in atoms)
+    _check_work(f"hall_primitive of {k} letters", f"2^{k - 1}·Π|P(letter)|", size, "terms")
+    return of(_hall_tree(atoms, key))
 
 
 def lyndon_atom_words(total_weight):

@@ -34,8 +34,6 @@ __all__ = [
     "CHECK_NAMES",
     "MAX_WEIGHT",
     "run_checks",
-    "bell_numbers",
-    "fubini_numbers",
     "quasi_shuffle_count",
     "growth_string_count",
 ]

@@ -8,9 +8,11 @@ entries must still reject bad data with their documented messages.
 import itertools
 import re
 import sys
+from types import ModuleType
 
 import pytest
 
+import ncsym
 from ncsym import (
     EMPTY_PARTITION,
     NCSymElement,
@@ -35,6 +37,7 @@ from ncsym import (
     set_partitions,
     verify,
 )
+from ncsym import cli, linalg, setparts, words
 from ncsym.cli import main
 
 P = SetPartition.parse
@@ -162,6 +165,25 @@ class TestOneBodyPerFamily:
     def test_word_ground_merges_overlapping_letters(self):
         assert W("23|12|2").ground() == (1, 2, 3)
         assert Word().ground() == ()
+
+
+def test_package_republishes_each_module_all():
+    # Each public name is declared once, in its module's __all__, and the
+    # package exports exactly those of the four modules it republishes.
+    republished = (setparts, words, hopf, linalg)
+    declared = [name for module in (*republished, verify, serialize, cli) for name in module.__all__]
+    assert len(declared) == len(set(declared))
+    public = {name: value for name, value in vars(ncsym).items() if not name.startswith("_")}
+    modules = {name for name, value in public.items() if isinstance(value, ModuleType)}
+    assert set(public) - modules == {name for module in republished for name in module.__all__}
+    assert {"setparts", "words", "hopf", "linalg"} <= modules and ncsym.__version__
+    for module in republished:
+        for name in module.__all__:
+            assert public[name] is vars(module)[name], name
+            assert getattr(public[name], "__module__", module.__name__) == module.__name__, name
+    star = {}
+    exec("from ncsym import *", star)
+    assert {"bell_numbers", "fubini_numbers"} <= star.keys() and set(public) <= star.keys()
 
 
 def _raises(exc, message, thunk):

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import json
+import math
 import re
 from pathlib import Path
 
@@ -818,6 +819,16 @@ class TestHallBasis:
         monkeypatch.setattr(hopf, "_code_atoms", counted)
         assert hopf._lyndon_atom_words(set_partitions(6)) == want
         assert len(calls) == bell_numbers(6)[6] and set(calls.values()) == {1}
+
+    def test_word_prediction_bounds_its_terms(self):
+        # A bracket [u, v] has at most 2|u||v| terms, so a word of k letters
+        # has at most 2^(k-1)·Π|P(letter)|: the prediction hall_primitive
+        # refuses on.
+        words = [word for n in range(1, 8) for word in lyndon_atom_words(n)]
+        assert len(words) == 793
+        for word in words:
+            bound = 2 ** (len(word) - 1) * math.prod(len(primitive(a)._terms) for a in word)
+            assert len(hall_primitive(word)._terms) <= bound, word
 
     def test_outputs_are_primitive(self):
         for n in range(1, 5):

@@ -303,23 +303,45 @@ def test_hall_of_the_accepted_comb_ends_at_the_recursion_limit(capsys):
     assert capsys.readouterr() == ("", "error: input too large: recursion limit exceeded\n")
 
 
-def test_hall_bracket_refused_before_multiplying(monkeypatch):
-    # A 12-letter Lyndon word of weight-5 atoms, a (x1..x5) a (y1..y5) with a
-    # the least letter and x1 < y1, splits into two six-letter combs whose
-    # primitives have 1 350 and 1 920 terms: their bracket is refused.
-    atoms = sorted(atomic_set_partitions(5), key=hopf.atom_key)
-    word = [atoms[0], *atoms[1:6], atoms[0], *atoms[6:11]]
-    sizes = []
+def hall_refusal(monkeypatch, word):
+    """The message ``hall_primitive`` refuses the Lyndon ``word`` with,
+    checking that no product was formed first."""
+    assert words.is_lyndon(word, key=hopf.atom_key)
+    products = []
     multiply = NCSymElement.__mul__
 
     def counted(x, y):
-        sizes.append(len(x._terms) * len(y._terms))
+        products.append(1)
         return multiply(x, y)
 
     monkeypatch.setattr(NCSymElement, "__mul__", counted)
     with pytest.raises(ValueError) as refused:
         hopf.hall_primitive(word)
-    assert str(refused.value) == (
-        "bracket of two primitives: predicted 2·|left|·|right| = 5184000 products (limit 1000000)"
+    assert products == []
+    return str(refused.value)
+
+
+def test_hall_bracket_refused_before_multiplying(monkeypatch):
+    # A 12-letter Lyndon word of weight-5 atoms, a (x1..x5) a (y1..y5) with a
+    # the least letter and x1 < y1.
+    atoms = sorted(atomic_set_partitions(5), key=hopf.atom_key)
+    word = [atoms[0], *atoms[1:6], atoms[0], *atoms[6:11]]
+    assert hall_refusal(monkeypatch, word) == (
+        "hall_primitive of 12 letters: predicted 2^11·Π|P(letter)| = 6291456 terms (limit 1000000)"
     )
-    assert max(sizes) < 10**6 // 2
+
+
+@pytest.mark.parametrize(
+    "extra, predicted",
+    [
+        (("12345", "1235.4", "1245.3"), "2^12·Π|P(letter)| = 1572864"),
+        (("12345", "1235.4", "1245.3", "124.35", "125.34", "125.3.4"), "2^15·Π|P(letter)| = 150994944"),
+    ],
+)
+def test_hall_word_refused_before_any_bracket(monkeypatch, extra, predicted):
+    # The increasing word of the ten atoms of weight at most 4 and ``extra``.
+    atoms = [a for n in range(1, 5) for a in atomic_set_partitions(n)]
+    word = sorted(atoms + [SetPartition.parse(text) for text in extra], key=hopf.atom_key)
+    assert hall_refusal(monkeypatch, word) == (
+        f"hall_primitive of {len(word)} letters: predicted {predicted} terms (limit 1000000)"
+    )

@@ -16,7 +16,9 @@ One ``<sha256>  <what>`` line each for:
   ``antipode_oracle``, ``primitive``, ``hall_primitive``) on a 13-block
   atom;
 * ``atoms()`` and ``is_atomic()`` of every standard partition of weight 0
-  to 9, one line per partition.
+  to 9, one line per partition;
+* the ``str`` of ``hall_primitive`` on every Lyndon atom word of weight 1
+  to 7, in ``lyndon_atom_words`` order, one line per word.
 
 Usage: ``python tools/fingerprint.py``.  It runs the ``src`` tree beside it,
 so the same file run from two checkouts compares them.
@@ -103,6 +105,10 @@ def main():
         atoms = "|".join(atom.format("extended") for atom in part.atoms())
         text += f"{part.format('extended')} {atoms} {part.is_atomic()}\n"
     what = f"atoms and is_atomic of the {len(parts)} partitions of weight 0-9"
+    print(f"{_digest(text.encode())}  {what}")
+    hall_words = [word for n in range(1, 8) for word in hopf.lyndon_atom_words(n)]
+    text = "".join(f"{hopf.hall_primitive(word)}\n" for word in hall_words)
+    what = f"hall_primitive on the {len(hall_words)} Lyndon atom words of weight 1-7"
     print(f"{_digest(text.encode())}  {what}")
 
 
