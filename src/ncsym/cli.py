@@ -1,7 +1,12 @@
 """Command-line interface: shorthand notation in, text or JSON out.
 
-The subcommands are declared once, in ``_COMMANDS``.  ``main`` parses with one
-parser, built on its first call and kept for the life of the process.
+The subcommands are declared once, in ``_COMMANDS``.  ``main`` parses with the
+top parser and one parser per subcommand, built on its first call and kept
+for the life of the process.  An argv whose first token names a subcommand
+is parsed once, by that subcommand's parser, which is all the top parser
+would do with it; any other argv, and one that leaves arguments over, goes
+through the top parser, so usage lines, messages and exit codes are as the
+top parser gives them.
 
 Exit codes: 0 on success, 1 when ``verify`` finds a failing check, 2 for
 unparseable or invalid input (the message names the offending token), for a
@@ -214,6 +219,11 @@ _COMMANDS = (
 
 
 def build_parser():
+    return _build_parsers()[0]
+
+
+def _build_parsers():
+    """The top parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="ncsym",
         description="Exact computations in the Hopf algebra of set partitions "
@@ -262,11 +272,24 @@ def build_parser():
     )
     p.add_argument("--checks", default=None, help="comma-separated check names")
     p.add_argument("--seed", type=int, default=0, help="seed for the above-weight-5 samples")
-    return parser
+    return parser, commands
 
 
-# The parser ``main`` shares across calls: argparse only reads it while parsing.
-_shared_parser = functools.cache(build_parser)
+# The parsers ``main`` shares across calls: argparse only reads them while parsing.
+_shared_parsers = functools.cache(_build_parsers)
+
+
+def _parse(argv):
+    """``build_parser().parse_args(argv)``, with one parse level when the
+    first token names a subcommand and nothing is left over: the top parser
+    would hand the rest of argv to that subcommand's parser as it is."""
+    parser, commands = _shared_parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def _drop_stdout():
@@ -284,7 +307,7 @@ def _drop_stdout():
 
 def main(argv=None):
     try:
-        args = _shared_parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

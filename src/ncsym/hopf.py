@@ -81,8 +81,10 @@ check: the public constructors (which ``serialize`` decodes through),
 ``items``, ``support`` and the text forms sort the terms on their codes, by
 ``_code_text`` (the extended-form string, ``SetPartition.sort_key``) or
 ``_code_order`` (the atom order, ``partition_key``), both built without a
-partition, and decode each distinct code once, after sorting; the maps
-handed to ``convolve`` decode each distinct code once per call.  Sums,
+partition, and decode each distinct code once, after sorting; the text forms,
+the Lyndon atom words and ``verify``'s unitriangular basis build each
+distinct atom's text once per call, in a cache that dies with the call.  The
+maps handed to ``convolve`` decode each distinct code once per call.  Sums,
 products, coproducts, antipodes and primitives stay codes and are trusted:
 ``_Combination._combine`` and ``_wrap`` build them without re-checking.
 The coproduct's splits are summed on codes (``_coproduct_codes``), which
@@ -771,12 +773,14 @@ def partition_key(part):
     return tuple(atom_key(atom) for atom in part.atoms())
 
 
-def _code_order(code, pieces=None):
+def _code_order(code, pieces=None, text=_code_text):
     """``partition_key`` of a code's partition, built from the code;
-    ``pieces`` may hand over its atoms when the caller has already cut it."""
+    ``pieces`` may hand over its atoms when the caller has already cut it,
+    and ``text`` may be a cache of ``_code_text`` that a caller ordering many
+    codes keeps for one call, so each distinct atom's text is built once."""
     if pieces is None:
         pieces = _code_atoms(code) if code else ()
-    return tuple((-len(atom), _code_text(atom)) for atom in pieces)
+    return tuple((-len(atom), text(atom)) for atom in pieces)
 
 
 def leading_term(x):
@@ -859,7 +863,8 @@ def lyndon_atom_words(total_weight):
 def _lyndon_atom_words(partitions):
     """``lyndon_atom_words`` given the weight's standard partitions."""
     cut = [(code, _code_atoms(code)) for code in map(_encode, partitions)]
-    keyed = sorted((_code_order(code, pieces), pieces) for code, pieces in cut)
+    text = functools.cache(_code_text)
+    keyed = sorted((_code_order(code, pieces, text), pieces) for code, pieces in cut)
     return [tuple(map(_decode, pieces)) for key, pieces in keyed if is_lyndon(key)]
 
 
@@ -924,10 +929,10 @@ def _hall_span(n, words, dim):
 
 def _signed(x, body):
     """Sign-joined text of the terms of ``x`` in atom order, sorted on their
-    codes by ``_code_order``: the first sign bare, the others spaced, a
-    magnitude of 1 left out."""
-    pieces = []
-    for key, coeff in x._decoded(_code_order):
+    codes by ``_code_order``, each distinct atom's text built once: the first
+    sign bare, the others spaced, a magnitude of 1 left out."""
+    pieces, atom_text = [], functools.cache(_code_text)
+    for key, coeff in x._decoded(lambda code: _code_order(code, text=atom_text)):
         magnitude = abs(coeff)
         text = body(key) if magnitude == 1 else f"{magnitude}{body(key)}"
         if pieces:

@@ -13,9 +13,12 @@ fixed seed.  ``run_checks`` enumerates each weight's partitions once and
 hands the lists to every check it runs.
 
 A check is a generator over ``(max_weight, rng, partitions)`` that yields
-one ``(condition, detail)`` pair per case.  Adding a check means writing it
-and adding one ``(name, generator)`` row to ``_CHECKS``; ``_tallied`` turns
-each row into the ``CheckResult`` that ``run_checks`` returns.
+one ``(condition, detail, *args)`` tuple per case, such as ``(left == x,
+"left counit law {!r}", part)``: ``detail`` is a ``str.format`` template
+that ``args`` fill only when the case fails, so a passing case builds no
+text.  Adding a check means writing it and adding one ``(name, generator)``
+row to ``_CHECKS``; ``_tallied`` turns each row into the ``CheckResult``
+that ``run_checks`` returns.
 """
 
 from __future__ import annotations
@@ -124,62 +127,44 @@ def _pair_pool(max_weight, rng, partitions):
 def check_cardinalities(max_weight, rng, partitions):
     bells = bell_numbers(8)
     for n in range(0, 9):
-        yield (
-            len(partitions(n)) == bells[n],
-            f"partition count n={n}",
-        )
-        yield growth_string_count(n) == bells[n], f"growth-string count n={n}"
+        yield len(partitions(n)) == bells[n], "partition count n={}", n
+        yield growth_string_count(n) == bells[n], "growth-string count n={}", n
     fubini = fubini_numbers(7)
     for r in range(0, 8):
-        yield (
-            sum(1 for _ in setparts.set_compositions(r)) == fubini[r],
-            f"composition count r={r}",
-        )
+        yield sum(1 for _ in setparts.set_compositions(r)) == fubini[r], "composition count r={}", r
     for n in range(1, 7):
         walked = filter(SetPartition.is_atomic, _growth_string_partitions(n))
         filtered = [p for p in partitions(n) if p.is_atomic()]
-        yield (
-            sorted(walked, key=SetPartition.sort_key) == filtered,
-            f"atomic enumeration n={n}",
-        )
+        yield sorted(walked, key=SetPartition.sort_key) == filtered, "atomic enumeration n={}", n
 
 
 def check_combinatorics(max_weight, rng, partitions):
     for part in _partition_pool(max_weight, rng, partitions):
-        yield SetPartition.parse(part.format()) == part, f"roundtrip {part!r}"
-        yield (
-            SetPartition.parse(part.format("extended")) == part,
-            f"extended roundtrip {part!r}",
-        )
+        yield SetPartition.parse(part.format()) == part, "roundtrip {!r}", part
+        yield SetPartition.parse(part.format("extended")) == part, "extended roundtrip {!r}", part
         std = part.standardize()
         for k in (0, 1, 4):
-            yield (
-                part.shift(k).standardize() == std, f"shift/standardize {part!r} k={k}"
-            )
+            yield part.shift(k).standardize() == std, "shift/standardize {!r} k={}", part, k
         atoms = part.atoms()
         refolded = EMPTY_PARTITION
         for atom in atoms:
-            yield atom.is_atomic(), f"non-atomic factor of {part!r}"
+            yield atom.is_atomic(), "non-atomic factor of {!r}", part
             refolded = refolded.concat(atom)
-        yield refolded == part, f"atom refold {part!r}"
-        yield (
-            part.is_atomic() == (len(atoms) == 1), f"atomicity consistency {part!r}"
-        )
+        yield refolded == part, "atom refold {!r}", part
+        yield part.is_atomic() == (len(atoms) == 1), "atomicity consistency {!r}", part
         if part.length:
             whole = SetComposition((tuple(range(1, part.length + 1)),))
-            yield whole.evaluate(part) == part, f"identity evaluation {part!r}"
+            yield whole.evaluate(part) == part, "identity evaluation {!r}", part
     for r in range(0, min(max_weight, 4) + 1):
         comps = list(setparts.set_compositions(r))
         for gamma in comps:
-            yield SetComposition.parse(gamma.format()) == gamma, f"roundtrip {gamma!r}"
-            yield gamma.refines(gamma), f"reflexivity {gamma!r}"
+            yield SetComposition.parse(gamma.format()) == gamma, "roundtrip {!r}", gamma
+            yield gamma.refines(gamma), "reflexivity {!r}", gamma
             if gamma.length:
-                yield (
-                    gamma.restrict(gamma.ground()) == gamma, f"full restrict {gamma!r}"
-                )
+                yield gamma.restrict(gamma.ground()) == gamma, "full restrict {!r}", gamma
                 yield (
                     gamma.subsequence(range(1, gamma.length + 1)) == gamma,
-                    f"full subsequence {gamma!r}",
+                    "full subsequence {!r}", gamma,
                 )
         relation = {
             (i, j)
@@ -188,14 +173,14 @@ def check_combinatorics(max_weight, rng, partitions):
             if a.refines(b)
         }
         antisym = all(i == j for (i, j) in relation if (j, i) in relation)
-        yield antisym, f"antisymmetry r={r}"
+        yield antisym, "antisymmetry r={}", r
         closed = all(
             (i, k) in relation
             for (i, j) in relation
             for (j2, k) in relation
             if j2 == j
         )
-        yield closed, f"transitivity r={r}"
+        yield closed, "transitivity r={}", r
 
 
 def check_coassociativity(max_weight, rng, partitions):
@@ -205,23 +190,24 @@ def check_coassociativity(max_weight, rng, partitions):
         terms = delta(part)
         first = hopf._summed(((a, b, q), c * d) for (p, q), c in terms for (a, b), d in delta(p))
         second = hopf._summed(((p, a, b), c * d) for (p, q), c in terms for (a, b), d in delta(q))
-        yield first == second, f"coassociativity {part!r}"
+        yield first == second, "coassociativity {!r}", part
 
 
 def check_counit_laws(max_weight, rng, partitions):
     for part in _partition_pool(max_weight, rng, partitions):
+        # The empty-side legs, summed on codes: the empty code is the empty side.
         x = NCSymElement.from_partition(part)
-        terms = hopf.coproduct(x)._decoded()
-        left = NCSymElement((q, c) for (p, q), c in terms if p.weight == 0)
-        right = NCSymElement((p, c) for (p, q), c in terms if q.weight == 0)
-        yield left == x, f"left counit law {part!r}"
-        yield right == x, f"right counit law {part!r}"
+        terms = hopf.coproduct(x)._terms.items()
+        left = NCSymElement._combine((q, c) for (p, q), c in terms if not p)
+        right = NCSymElement._combine((p, c) for (p, q), c in terms if not q)
+        yield left == x, "left counit law {!r}", part
+        yield right == x, "right counit law {!r}", part
 
 
 def check_cocommutativity(max_weight, rng, partitions):
     for part in _partition_pool(max_weight, rng, partitions):
         delta = hopf.coproduct(NCSymElement.from_partition(part))
-        yield delta.twist() == delta, f"cocommutativity {part!r}"
+        yield delta.twist() == delta, "cocommutativity {!r}", part
 
 
 def check_bialgebra(max_weight, rng, partitions):
@@ -230,7 +216,7 @@ def check_bialgebra(max_weight, rng, partitions):
         y = NCSymElement.from_partition(right)
         yield (
             hopf.coproduct(x * y) == hopf.coproduct(x) * hopf.coproduct(y),
-            f"compatibility {left!r} {right!r}",
+            "compatibility {!r} {!r}", left, right,
         )
 
 
@@ -239,12 +225,8 @@ def check_antipode_convolution(max_weight, rng, partitions):
     identity = NCSymElement.from_partition
     for part in _partition_pool(max_weight, rng, partitions):
         expected = NCSymElement.unit() if part.weight == 0 else NCSymElement.zero()
-        yield (
-            hopf.convolve(S, identity, part) == expected, f"left inverse {part!r}"
-        )
-        yield (
-            hopf.convolve(identity, S, part) == expected, f"right inverse {part!r}"
-        )
+        yield hopf.convolve(S, identity, part) == expected, "left inverse {!r}", part
+        yield hopf.convolve(identity, S, part) == expected, "right inverse {!r}", part
 
 
 def check_antipode_methods(max_weight, rng, partitions):
@@ -253,7 +235,7 @@ def check_antipode_methods(max_weight, rng, partitions):
         direct = hopf.antipode(x, "direct")
         factored = hopf.antipode(x, "factored")
         oracle = hopf.antipode(x, "oracle")
-        yield direct == factored == oracle, f"method agreement {part!r}"
+        yield direct == factored == oracle, "method agreement {!r}", part
 
 
 def check_antipode_antimorphism(max_weight, rng, partitions):
@@ -261,16 +243,13 @@ def check_antipode_antimorphism(max_weight, rng, partitions):
     for left, right in _pair_pool(max_weight, rng, partitions):
         x = NCSymElement.from_partition(left)
         y = NCSymElement.from_partition(right)
-        yield (
-            hopf.antipode(x * y) == S(right) * S(left),
-            f"antimorphism {left!r} {right!r}",
-        )
+        yield hopf.antipode(x * y) == S(right) * S(left), "antimorphism {!r} {!r}", left, right
 
 
 def check_antipode_involution(max_weight, rng, partitions):
     for part in _partition_pool(max_weight, rng, partitions):
         x = NCSymElement.from_partition(part)
-        yield hopf.antipode(hopf.antipode(x)) == x, f"involution {part!r}"
+        yield hopf.antipode(hopf.antipode(x)) == x, "involution {!r}", part
 
 
 def check_grading(max_weight, rng, partitions):
@@ -279,25 +258,19 @@ def check_grading(max_weight, rng, partitions):
         delta = hopf.coproduct(x)
         yield (
             all(p.weight + q.weight == part.weight for (p, q), _ in delta._decoded()),
-            f"coproduct grading {part!r}",
+            "coproduct grading {!r}", part,
         )
         s = hopf.antipode(x)
-        yield (
-            s.is_homogeneous() and s.weights() == [part.weight],
-            f"antipode grading {part!r}",
-        )
+        yield s.is_homogeneous() and s.weights() == [part.weight], "antipode grading {!r}", part
         if part.weight:
             p = hopf.primitive(part)
             yield (
                 p.is_zero() or (p.is_homogeneous() and p.weights() == [part.weight]),
-                f"primitive grading {part!r}",
+                "primitive grading {!r}", part,
             )
     for left, right in _pair_pool(max_weight, rng, partitions):
         x = NCSymElement.from_partition(left) * NCSymElement.from_partition(right)
-        yield (
-            x.weights() == [left.weight + right.weight],
-            f"product grading {left!r} {right!r}",
-        )
+        yield x.weights() == [left.weight + right.weight], "product grading {!r} {!r}", left, right
 
 
 def check_primitives(max_weight, rng, partitions):
@@ -305,14 +278,12 @@ def check_primitives(max_weight, rng, partitions):
         if part.weight == 0:
             continue
         p = hopf.primitive(part)
-        yield p == hopf._primitive_anchored(part), f"anchored-sum referee {part!r}"
+        yield p == hopf._primitive_anchored(part), "anchored-sum referee {!r}", part
         if part.is_atomic():
-            yield (
-                hopf.reduced_coproduct(p).is_zero(), f"reduced coproduct {part!r}"
-            )
-            yield hopf.leading_term(p) == (part, 1), f"leading term {part!r}"
+            yield hopf.reduced_coproduct(p).is_zero(), "reduced coproduct {!r}", part
+            yield hopf.leading_term(p) == (part, 1), "leading term {!r}", part
         else:
-            yield p.is_zero(), f"vanishing {part!r}"
+            yield p.is_zero(), "vanishing {!r}", part
 
 
 def check_restriction_sum(max_weight, rng, partitions):
@@ -325,7 +296,7 @@ def check_restriction_sum(max_weight, rng, partitions):
                 left = words._mask((1,) + extra)
                 yield (
                     signed_sum(left, (1 << r) - 1 - left, True) == {},
-                    f"vanishing sum r={r} K={[1, *extra]}",
+                    "vanishing sum r={} K={}", r, [1, *extra],
                 )
 
 
@@ -335,9 +306,7 @@ def check_quasi_shuffle(max_weight, rng, partitions):
             u = Word((i,) for i in range(1, k + 1))
             v = Word((k + j,) for j in range(1, l + 1))
             full = words.quasi_shuffle(u, v)
-            yield (
-                len(full) == quasi_shuffle_count(k, l), f"cardinality k={k} l={l}"
-            )
+            yield len(full) == quasi_shuffle_count(k, l), "cardinality k={} l={}", k, l
             if k <= 3 and l <= 3 and k and l:
                 yield (
                     all(
@@ -345,19 +314,16 @@ def check_quasi_shuffle(max_weight, rng, partitions):
                         and words.word_restrict(w, v.ground()) == v
                         for w in full
                     ),
-                    f"projection k={k} l={l}",
+                    "projection k={} l={}", k, l,
                 )
             if not (k and l):
                 continue
             left = words.left_quasi_shuffle(u, v)
-            yield left <= full, f"left subset k={k} l={l}"
+            yield left <= full, "left subset k={} l={}", k, l
             expected = quasi_shuffle_count(k - 1, l) + quasi_shuffle_count(k - 1, l - 1)
-            yield len(left) == expected, f"left cardinality k={k} l={l}"
+            yield len(left) == expected, "left cardinality k={} l={}", k, l
             head = set(u.letters[0])
-            yield (
-                all(head <= set(w.letters[0]) for w in left),
-                f"first letter k={k} l={l}",
-            )
+            yield all(head <= set(w.letters[0]) for w in left), "first letter k={} l={}", k, l
             involution_ok = True
             parity = 0
             for w in left:
@@ -371,51 +337,50 @@ def check_quasi_shuffle(max_weight, rng, partitions):
                 ):
                     involution_ok = False
                 parity += (-1) ** w.length
-            yield involution_ok, f"pairing involution k={k} l={l}"
-            yield parity == 0, f"signed sum k={k} l={l}"
+            yield involution_ok, "pairing involution k={} l={}", k, l
+            yield parity == 0, "signed sum k={} l={}", k, l
 
 
 def check_unitriangular(max_weight, rng, partitions):
     # The product of the primitives along each code's atoms, taken once per
     # run on one source of primitives.  A code's atoms but its last are the
     # atoms of a lighter code, whose product the table already holds.
-    primitive = hopf._primitives()
+    primitive, text = hopf._primitives(), functools.cache(hopf._code_text)
     products = {(): NCSymElement.unit()}
     for n in range(1, max_weight + 1):
         # The basis in atom order, sorted and looked up by code, each code cut
-        # into atoms once.
+        # into atoms once and each atom's text built once per run.
         parts = {hopf._encode(part): part for part in partitions(n)}
         atoms = {code: tuple(hopf._code_atoms(code)) for code in parts}
-        basis = sorted(parts, key=lambda code: hopf._code_order(code, atoms[code]))
+        basis = sorted(parts, key=lambda code: hopf._code_order(code, atoms[code], text))
         index = {code: i for i, code in enumerate(basis)}
         for i, code in enumerate(basis):
             pieces = atoms[code]
             combo = products[pieces] = products[pieces[:-1]] * primitive(hopf._decode(pieces[-1]))
-            yield combo._terms.get(code) == 1, f"unit diagonal {parts[code]!r}"
-            yield (
-                all(index[q] >= i for q in combo._terms),
-                f"triangularity {parts[code]!r}",
-            )
+            yield combo._terms.get(code) == 1, "unit diagonal {!r}", parts[code]
+            yield all(index[q] >= i for q in combo._terms), "triangularity {!r}", parts[code]
 
 
 def check_hall_span(max_weight, rng, partitions):
     for n in range(1, max_weight + 1):
         dim = hopf._primitive_space_dimension(partitions(n))
         lyndon = hopf._lyndon_atom_words(partitions(n))
-        yield dim == len(lyndon), f"dimension vs Lyndon count n={n}"
-        yield hopf._hall_span(n, lyndon, dim), f"hall span n={n}"
+        yield dim == len(lyndon), "dimension vs Lyndon count n={}", n
+        yield hopf._hall_span(n, lyndon, dim), "hall span n={}", n
 
 
 def _tallied(name, cases):
     """The check ``name`` as ``run_checks`` calls it: a ``CheckResult`` that
-    tallies each ``(condition, detail)`` the generator ``cases`` yields."""
+    tallies each ``(condition, detail, *args)`` the generator ``cases``
+    yields, formatting ``detail.format(*args)`` only for a failed case (a
+    detail without arguments is kept as it is)."""
 
     def check(max_weight, rng, partitions):
         res = CheckResult(name)
-        for condition, detail in cases(max_weight, rng, partitions):
+        for condition, detail, *args in cases(max_weight, rng, partitions):
             res.cases += 1
             if not condition:
-                res.failures.append(detail)
+                res.failures.append(detail.format(*args) if args else detail)
         return res
 
     return check

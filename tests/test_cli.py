@@ -1,11 +1,13 @@
 import argparse
 import io
 import json
+import re
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -202,6 +204,85 @@ class TestParserBuiltOnce:
         assert main(["product", "1", "1"]) == 0
         assert main(["antipode", "1", "--bogus"]) == 2
         assert built == []
+
+
+def outcome(argv):
+    """(exit, stdout, stderr) of ``main(argv)``, the timestamp of a verify
+    text report left out."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, re.sub(r"started \S+", "started", out.getvalue()), err.getvalue()
+
+
+def top_parser_outcome(argv):
+    """``outcome(argv)`` with argv parsed by the top parser alone, as before
+    ``main`` went to a subcommand's parser directly."""
+    with mock.patch.object(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv)):
+        return outcome(argv)
+
+
+# Every argv the tests above run in process, then help and error argv: none,
+# an option first, an unknown name, leftover or missing arguments, the "--"
+# separator, and a bad option value.
+DISPATCH_CORPUS = [
+    ["product", "12", "1"], ["antipode", "12.3"], ["antipode", "13.2.4", "--method", "direct"],
+    ["antipode", "13.2.4", "--method", "factored"], ["antipode", "13.2.4", "--method", "oracle"],
+    ["antipode", ""], ["counit", "12.3"], ["counit", ""], ["counit", "1"], ["primitive", "13.2"],
+    ["atoms", "12.346.57.8"], ["is-atomic", "17.235.4.68"], ["is-atomic", "12.346.57.8"],
+    ["eval", "13|2", "13.29.458.7"], ["qshuffle", "1|3", "24", "--left"],
+    ["qshuffle", "1|3", "24"], ["lyndon", "aabb"], ["lyndon", "ba"], ["hall", "aabb"],
+    ["enumerate", "partitions", "3"], ["enumerate", "compositions", "3", "--count"],
+    ["enumerate", "compositions", "12"], ["enumerate", "partitions", "1000000"],
+    ["enumerate", "atomic", "12", "--count"], ["enumerate", "anchored", "9"],
+    ["enumerate", "partitions", "8", "--count"], ["enumerate", "compositions", "-1"],
+    ["enumerate", "atomic", "4", "--format", "json"], ["enumerate", "anchored", "-1", "--count"],
+    ["coproduct", ".".join(map(str, range(1, 21))) + ","],
+    ["coproduct", "1.2.3.4.5.6.7.8.9", "--format", "json"], ["product", "1", "1"],
+    ["antipode", "1.2.3.4.5.6.7.8.9.10.11,"], ["antipode", "1,14.2.3.4.5.6.7.8.9.10.11.12.13"],
+    ["antipode", "1.2.3.4.5.6.7.8.9.10.11,", "--method", "direct"],
+    ["antipode", "1.2.3.4.5.6.7.8.9", "--method", "oracle"], ["antipode", "1x.2"],
+    ["eval", "13|2", "1.2"], ["verify", "--checks", "bogus"], ["qshuffle", "12", "23"],
+    ["hall", "ba"], ["qshuffle", "1", "2"], ["verify", "--max-weight", "-1"],
+    ["verify", "--max-weight", "99"], ["verify", "--checks", ","], ["verify", "--checks", ""],
+    ["verify", "--max-weight", "2", "--checks", "cardinalities,primitives"],
+    ["verify", "--max-weight", "2", "--checks", "cardinalities,primitives", "--format", "json"],
+    ["product", "13.2", "1", "--format", "json"], ["coproduct", "12.3", "--format", "json"],
+    ["eval", "2|34", "13.28.456.7"], ["lyndon", "aabb", "--format", "json"],
+    [], ["-h"], ["antipode", "-h"], ["frobnicate"], ["antipode", "1", "--bogus"],
+    ["antipode", "--", "1"], ["product", "1"], ["verify", "--max-weight", "x"],
+    ["enumerate", "partitions", "3", "extra"], ["--format", "json", "counit", "1"],
+    ["enumerate", "bogus", "3"], ["antipode", "1", "--method", "bogus"], ["verify", "-h"],
+]
+
+
+class TestOneParseLevel:
+    @pytest.mark.parametrize("argv", DISPATCH_CORPUS, ids=" ".join)
+    def test_same_outcome_as_the_top_parser(self, argv):
+        assert outcome(argv) == top_parser_outcome(argv)
+
+    def test_help_and_errors_keep_their_usage(self):
+        code, out, err = outcome([])
+        assert (code, out) == (2, "") and err.startswith("usage: ncsym [-h]")
+        assert err.endswith("ncsym: error: the following arguments are required: command\n")
+        code, out, err = outcome(["enumerate", "partitions", "3", "extra"])
+        assert (code, out) == (2, "")
+        assert err.endswith("ncsym: error: unrecognized arguments: extra\n")
+        code, out, err = outcome(["product", "1"])
+        assert (code, out) == (2, "")
+        assert err.endswith("ncsym product: error: the following arguments are required: right\n")
+        assert outcome(["antipode", "-h"])[1].startswith("usage: ncsym antipode [-h]")
+
+    def test_a_subcommand_argv_skips_the_top_parser(self, monkeypatch):
+        parser, commands = cli._shared_parsers()
+
+        def refused(*args, **kwargs):
+            raise AssertionError("parsed by the top parser")
+
+        monkeypatch.setattr(parser, "parse_args", refused)
+        monkeypatch.setattr(parser, "parse_known_args", refused)
+        assert outcome(["product", "1", "1", "--format", "json"])[0] == 0
+        assert outcome(["verify", "--checks", "counit-laws", "--max-weight", "2"])[0] == 0
 
 
 class TestAntipodeSizes:
@@ -602,6 +683,6 @@ def _arguments(draw, command):
 @given(data=st.data())
 def test_fuzzed_argv_exits_0_or_2(command, fmt, data):
     argv = [command, *_arguments(data.draw, command), "--format", fmt]
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        code = main(argv)
-    assert code in (0, 2), argv
+    result = outcome(argv)
+    assert result[0] in (0, 2), argv
+    assert result == top_parser_outcome(argv), argv

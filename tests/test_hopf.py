@@ -211,6 +211,31 @@ class TestCodeKeys:
         assert _code_text(_encode(singletons(10))).endswith("9.10,")
         assert isinstance(_encode(parts[-1]), tuple) and len(parts[-1].blocks) == 300
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: format_element(primitive(P("16.27.3.4.5"))),
+            lambda: format_tensor(coproduct(E(P("13.2.45")) + E(P("12.3")))),
+            lambda: lyndon_atom_words(5),
+        ],
+    )
+    def test_each_atom_text_built_once_per_call(self, monkeypatch, call):
+        # The atom order keys read each distinct atom's text once per call;
+        # a second call builds them again, so nothing outlives the call.
+        texts = collections.Counter()
+        text = hopf._code_text
+
+        def counted(code):
+            texts[code] += 1
+            return text(code)
+
+        monkeypatch.setattr(hopf, "_code_text", counted)
+        call()
+        assert texts and set(texts.values()) == {1}
+        assert all(hopf._code_atoms(code) == [code] for code in texts)
+        call()
+        assert set(texts.values()) == {2}
+
     def test_no_output_partition_built_before_items(self, monkeypatch):
         multi_atom, nine_blocks = E(P("13.2.4.57.6")), E(P("1.2.3.4.5.6.7.8.9"))
         built = []

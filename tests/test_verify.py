@@ -197,3 +197,92 @@ def test_unitriangular_builds_one_kernel_per_run(monkeypatch):
     monkeypatch.setattr(hopf, "_kernel", counted)
     [result] = verify.run_checks(max_weight=6, names=["unitriangular"])
     assert result.ok and len(kernels) == 1
+
+
+def test_details_are_formatted_only_for_failed_cases():
+    formatted = []
+
+    class Value:
+        def __init__(self, name):
+            self.name = name
+
+        def __repr__(self):
+            formatted.append(self.name)
+            return self.name
+
+    def cases(max_weight, rng, partitions):
+        yield True, "pass {!r}", Value("a")
+        yield False, "fail {!r} and {!r}", Value("b"), Value("c")
+        yield True, "pass {!r} k={}", Value("d"), 1
+        yield False, "fail {!r} k={}", Value("e"), 2
+        yield False, "plain {}"
+
+    result = verify._tallied("stub", cases)(2, random.Random(0), None)
+    assert result.cases == 5
+    assert result.failures == ["fail b and c", "fail e k=2", "plain {}"]
+    assert formatted == ["b", "c", "e"]
+
+
+def test_passing_checks_format_no_detail(monkeypatch):
+    formatted = []
+    monkeypatch.setattr(setparts._Groups, "__repr__", lambda self: formatted.append(self) or "")
+    results = verify.run_checks(max_weight=4)
+    assert all(r.ok for r in results) and formatted == []
+
+
+def test_counit_laws_fail_on_a_dropped_leg(monkeypatch):
+    # Every (∅, A) leg dropped: each left law fails, and the right law of the
+    # empty partition, whose one leg (∅, ∅) is gone too.
+    coproduct = hopf.coproduct
+
+    def dropped(x):
+        return hopf.TensorElement._wrap({k: c for k, c in coproduct(x)._terms.items() if k[0]})
+
+    monkeypatch.setattr(hopf, "coproduct", dropped)
+    [result] = verify.run_checks(max_weight=3, names=["counit-laws"])
+    assert result.cases == 2 * sum(setparts.bell_numbers(3)) == 18
+    assert result.failures == [
+        "left counit law SetPartition('∅')",
+        "right counit law SetPartition('∅')",
+        "left counit law SetPartition('1')",
+        "left counit law SetPartition('12')",
+        "left counit law SetPartition('1.2')",
+        "left counit law SetPartition('123')",
+        "left counit law SetPartition('12.3')",
+        "left counit law SetPartition('13.2')",
+        "left counit law SetPartition('1.23')",
+        "left counit law SetPartition('1.2.3')",
+    ]
+
+
+def test_counit_laws_sum_codes(monkeypatch):
+    # The legs are summed on codes: no coproduct term is decoded, and only
+    # the pool's own partitions go through the checking constructor.
+    checked = []
+    check = hopf._Combination._checked
+
+    def counted(self, pair):
+        checked.append(pair)
+        return check(self, pair)
+
+    def refused(self, order=None):
+        raise AssertionError("a coproduct term was decoded")
+
+    monkeypatch.setattr(hopf._Combination, "_checked", counted)
+    monkeypatch.setattr(hopf.TensorElement, "_decoded", refused)
+    [result] = verify.run_checks(max_weight=4, names=["counit-laws"])
+    assert result.ok and result.cases == 2 * len(checked) == 2 * sum(setparts.bell_numbers(4))
+
+
+def test_unitriangular_builds_each_atom_text_once(monkeypatch):
+    texts = collections.Counter()
+    text = hopf._code_text
+
+    def counted(code):
+        texts[code] += 1
+        return text(code)
+
+    monkeypatch.setattr(hopf, "_code_text", counted)
+    [result] = verify.run_checks(max_weight=5, names=["unitriangular"])
+    atoms = {hopf._encode(a) for n in range(1, 6) for a in setparts.atomic_set_partitions(n)}
+    assert result.ok and set(texts) == atoms and set(texts.values()) == {1}

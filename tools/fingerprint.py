@@ -18,19 +18,39 @@ One ``<sha256>  <what>`` line each for:
 * ``atoms()`` and ``is_atomic()`` of every standard partition of weight 0
   to 9, one line per partition;
 * the ``str`` of ``hall_primitive`` on every Lyndon atom word of weight 1
-  to 7, in ``lyndon_atom_words`` order, one line per word.
+  to 7, in ``lyndon_atom_words`` order, one line per word;
+* the (exit code, stdout, stderr) of ``cli.main`` on help and error argv,
+  run in process with both streams captured and help wrapped at 80
+  columns, one JSON line per argv.
 
 Usage: ``python tools/fingerprint.py``.  It runs the ``src`` tree beside it,
 so the same file run from two checkouts compares them.
 """
 
 import hashlib
+import io
+import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# No argv, an option first, an unknown name, leftover and missing arguments,
+# the "--" separator and a bad option value.
+CLI_ARGV = [
+    [],
+    ["-h"],
+    ["antipode", "-h"],
+    ["frobnicate"],
+    ["antipode", "1", "--bogus"],
+    ["antipode", "--", "1"],
+    ["product", "1"],
+    ["verify", "--max-weight", "x"],
+    ["enumerate", "partitions", "3", "extra"],
+]
 
 
 def _digest(data):
@@ -49,7 +69,7 @@ def _refusal(call):
 
 def main():
     sys.path.insert(0, str(SRC))
-    from ncsym import NCSymElement, SetPartition, hopf, setparts, set_partitions, verify
+    from ncsym import NCSymElement, SetPartition, cli, hopf, setparts, set_partitions, verify
 
     env = dict(os.environ, PYTHONPATH=str(SRC))
     for seed in range(3):
@@ -110,6 +130,14 @@ def main():
     text = "".join(f"{hopf.hall_primitive(word)}\n" for word in hall_words)
     what = f"hall_primitive on the {len(hall_words)} Lyndon atom words of weight 1-7"
     print(f"{_digest(text.encode())}  {what}")
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal's width
+    text = ""
+    for argv in CLI_ARGV:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        text += json.dumps([argv, code, out.getvalue(), err.getvalue()]) + "\n"
+    print(f"{_digest(text.encode())}  cli.main on {len(CLI_ARGV)} help and error argv")
 
 
 if __name__ == "__main__":
