@@ -157,8 +157,8 @@ def _check_enumerable(kind, n):
         name, numbers = "Bell", setparts.bell_numbers
     else:
         name, numbers = "Fubini", setparts.fubini_numbers
-    what, formula = f"enumerate {kind} {n}", f"count {name}({n})"
-    setparts._check_growth(what, formula, lambda m: numbers(m)[-1], n)
+    message = "enumerate {1} {0}: predicted count {2}({0}) {count}"
+    setparts._check_growth(lambda m: numbers(m)[-1], n, message, n, kind, name)
 
 
 def _cmd_enumerate(args):

@@ -87,7 +87,10 @@ distinct atom's text once per call, in a cache that dies with the call.  The
 maps handed to ``convolve`` decode each distinct code once per call.  Sums,
 products, coproducts, antipodes and primitives stay codes and are trusted:
 ``_Combination._combine`` and ``_wrap`` build them without re-checking.
-The coproduct's splits are summed on codes (``_coproduct_codes``), which
+``_combine`` sums and drops the zeros in one scan; ``_wrap`` takes over a
+dict that must hold no zero and scans nothing, so a caller that can make a
+zero (a scalar 0, a coproduct's cancelled splits) drops it first.  The
+coproduct's splits are summed on codes (``_coproduct_codes``), which
 ``reduced_coproduct`` and the oracle read directly, with no element in
 between.  The default antipode runs from an element's codes to its kernel
 (``_factored_codes``) without a partition; only the ``direct`` and
@@ -169,7 +172,7 @@ def _decode(code):
 
 def _blocks(code):
     """Block count of a code: one more than its largest label."""
-    return max(code, default=-1) + 1
+    return max(code) + 1 if code else 0
 
 
 # _SHIFT[k] adds k to every label byte, and _SHIFT[-k] subtracts it.
@@ -248,14 +251,15 @@ class _Combination:
 
     @classmethod
     def _combine(cls, pairs):
-        """Trusted constructor: sums (code, int) pairs."""
+        """Trusted constructor: sums (code, int) pairs, dropping the zeros."""
         return cls._wrap(_summed(pairs))
 
     @classmethod
     def _wrap(cls, data):
-        """Trusted constructor that takes over a dict of codes to ints."""
+        """Trusted constructor that takes over a dict of codes to ints, which
+        must hold no zero: it is not scanned."""
         self = object.__new__(cls)
-        self._terms = _nonzero(data)
+        self._terms = data
         return self
 
     @classmethod
@@ -306,7 +310,7 @@ class _Combination:
 
     def __mul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
-            return self._wrap({key: c * other for key, c in self._terms.items()})
+            return self._wrap({key: c * other for key, c in self._terms.items()} if other else {})
         if isinstance(other, type(self)):
             return self._combine(
                 (self._key_product(a, b), ca * cb)
@@ -345,7 +349,10 @@ class NCSymElement(_Combination):
 
     @classmethod
     def from_partition(cls, part):
-        return cls(((part, 1),))
+        # One term, checked once: nothing to sum or scan.
+        self = object.__new__(cls)
+        self._terms = dict((self._checked((part, 1)),))
+        return self
 
     @classmethod
     def unit(cls):
@@ -418,7 +425,7 @@ def _coproduct_codes(terms):
     splits exceed the work limit is refused first (and so is any term past
     255 blocks, whose labels would not fit a byte)."""
     r = max(map(_blocks, terms), default=0)
-    _check_growth(f"coproduct of {r} blocks", f"2^{r}", lambda m: 2**m, r, "splits")
+    _check_growth(lambda m: 2**m, r, "coproduct of {0} blocks: predicted 2^{0} {count} splits", r)
     splits = {}
     for code, coeff in terms.items():
         heads = _all_splits(code)
@@ -438,14 +445,14 @@ def coproduct(x):
     (see ``_all_splits``), and equal (head, tail) code pairs are summed in one
     dict (``_coproduct_codes``), which refuses a term past the work limit.
     """
-    return TensorElement._wrap(_coproduct_codes(x._terms))
+    return TensorElement._wrap(_nonzero(_coproduct_codes(x._terms)))
 
 
 def _check_splits(what, r):
     """Refuse ``what`` of ``r`` blocks, before any work, when its 3^r splits
     exceed the work limit: the one prediction of the default route, the
     oracle, ``primitive`` and ``hall_primitive``."""
-    _check_growth(f"{what} of {r} blocks", f"3^{r}", lambda m: 3**m, r, "splits")
+    _check_growth(lambda m: 3**m, r, "{0} of {1} blocks: predicted 3^{1} {count} splits", what, r)
 
 
 def counit(x):
@@ -458,8 +465,8 @@ def antipode_direct_terms(part):
     the block indices, before any cancellation.  The Fubini(r) compositions
     of r blocks are checked against the work limit when this is called."""
     r = _blocks(_basis_code(part))
-    what = f"antipode_direct of {r} blocks"
-    _check_growth(what, f"Fubini({r})", lambda m: fubini_numbers(m)[m], r, "compositions")
+    message = "antipode_direct of {0} blocks: predicted Fubini({0}) {count} compositions"
+    _check_growth(lambda m: fubini_numbers(m)[m], r, message, r)
     return (((-1) ** gamma.length, gamma.evaluate(part)) for gamma in set_compositions(r))
 
 
@@ -501,36 +508,53 @@ def _kernel():
     which a primitive needs with S on the right factor.  An atom's antipode
     is taken by its last part, the same m(S ⊗ id)Δ = ε recursion read from
     the other side: S(A) = -sum over K short of all labels of S(std(A|K)) *
-    std(A|rest).  Both sums count equal (head, tail, k) splits on a plain
-    dict first, k being the head's block count, read off the split index
-    (entry i of ``_all_splits`` keeps i.bit_count() labels).  Every term of
-    an antipode has its code's block count, so the last-part sum shifts each
+    std(A|rest).  Each sum is seeded with its empty side's term, S(empty) =
+    1: -A for the last-part sum, +A for the first-part sum.  A pair whose
+    antipode side is one block, p_[m] being primitive, is added in line with
+    no memo lookup and no recursion: +head * tail for a one-block head of the
+    last-part sum, -head * tail for a one-block tail of the first-part sum.
+    Only the other pairs are counted, equal (head, tail, k) splits on a plain
+    dict, k being the head's block count, read off the split index (entry i
+    of ``_all_splits`` keeps i.bit_count() labels).  Every term of an
+    antipode has its code's block count, so the last-part sum shifts each
     distinct tail up by k once and a product is the bare ``q + tail``; the
     first-part sum shifts each q of S(tail) and appends it to the head.  A
-    code ending in label 0 is one atom, answered with no cut: a single
-    block as -itself, p_[n] being primitive, anything else by its last-part
-    sum.  A product of atoms whose Π|S(atom)| terms exceed the work limit
-    is refused before it is multiplied.  Callers may keep the dicts
-    returned, and must not change them while the kernel is in use; the memo
-    dies with the kernel, so a caller done with it may take a dict over.
+    code ending in label 0 is one atom, answered with no cut: a single block
+    as -itself, anything else by its last-part sum.  A code whose atoms are
+    all single blocks is answered as one term, its blocks reversed with sign
+    (-1)^t, and no factor is taken.  A product of atoms whose Π|S(atom)|
+    terms exceed the work limit is refused before it is multiplied.  Every
+    dict returned holds no zero, so an element may take it unscanned.
+    Callers may keep the dicts returned, and must not change them while the
+    kernel is in use; the memo dies with the kernel, so a caller done with it
+    may take a dict over.
     """
     memo = {b"": {b"": 1}}
 
-    def counted(subs, start, stop):
-        # (std(A|K), std(A|rest), |K|) for split entries start to stop - 1,
-        # equal ones counted: entry i keeps i.bit_count() labels and its rest
-        # is the mirrored entry.
-        counts = {}
-        mirrored = subs[-1 - start : -1 - stop : -1]
-        for triple in zip(subs[start:stop], mirrored, map(int.bit_count, range(start, stop))):
-            counts[triple] = counts.get(triple, 0) + 1
+    def counted(subs, start, single, sign, out):
+        # (std(A|K), std(A|rest), |K|) for split entries start to the last
+        # but one, equal ones counted: entry i keeps i.bit_count() labels and
+        # its rest is the mirrored entry.  A pair whose one-block side makes
+        # |K| = single is added to ``out`` in line, as sign * std(A|K) *
+        # std(A|rest), since p_[m] is primitive.
+        stop = len(subs) - 1
+        counts, shift, sizes = {}, _SHIFT[single], map(int.bit_count, range(start, stop))
+        # Each zip tuple is its own count key, built once per entry.
+        for triple in zip(subs[start:stop], subs[stop - start : 0 : -1], sizes):
+            if triple[2] == single:
+                head, tail, _ = triple
+                key = head + tail.translate(shift)
+                out[key] = out.get(key, 0) + sign
+            else:
+                counts[triple] = counts.get(triple, 0) + 1
         return counts.items()
 
     def first_part_sum(code):
         subs = _all_splits(code)
-        out = {}
-        # The sets holding label 0 are the second half.
-        for (head, tail, k), n in counted(subs, len(subs) // 2, len(subs)):
+        # K = all labels leaves S(empty) = 1; the sets holding label 0 are
+        # the second half, and a one-block rest has S(rest) = -rest.
+        out = {code: 1}
+        for (head, tail, k), n in counted(subs, len(subs) // 2, _blocks(code) - 1, -1, out):
             shift = _SHIFT[k]
             # A memo hit skips the call: no antipode is empty.
             for q, c in (memo.get(tail) or antipode_of(tail)).items():
@@ -540,9 +564,10 @@ def _kernel():
 
     def last_part_sum(code):
         subs = _all_splits(code)
-        out = {}
-        # Every label set but the last entry, which holds them all.
-        for (head, tail, k), n in counted(subs, 0, len(subs) - 1):
+        # K = no label is -A, as S(empty) = 1, and a one-block head gives
+        # -S(head) * rest = head * rest.
+        out = {code: -1}
+        for (head, tail, k), n in counted(subs, 1, 1, 1, out):
             tail = tail.translate(_SHIFT[k])
             for q, c in (memo.get(head) or antipode_of(head)).items():
                 key = q + tail
@@ -559,6 +584,13 @@ def _kernel():
         if code[-1] == 0 or len(pieces) == 1:
             # One atom.  One block: p_[n] is primitive, so S(p_[n]) = -p_[n].
             got = {code: -1} if code.count(0) == len(code) else last_part_sum(code)
+        elif len(pieces) == _blocks(code):
+            # Every atom one block: S(A) is the one term (-1)^t times the t
+            # blocks in reverse order, whose code is A's reversed with each
+            # label l read as t - 1 - l.
+            t = len(pieces)
+            flipped = [t - 1 - label for label in reversed(code)]
+            got = {bytes(flipped) if isinstance(code, bytes) else tuple(flipped): (-1) ** t}
         else:
             # S(A_t)...S(A_1).  Every term of an atom's antipode has the
             # atom's block count, so no two products of the factors' terms
@@ -567,7 +599,7 @@ def _kernel():
             # per atom.
             factors = [antipode_of(piece, [piece]) for piece in pieces]
             size = math.prod(map(len, factors))
-            _check_work("antipode of a product of atoms", "Π|S(atom)|", size, "terms")
+            _check_work(size, "antipode of a product of atoms: predicted Π|S(atom)| {count} terms")
             got = factors[0]
             for piece, factor in zip(pieces[1:], factors[1:]):
                 # A bytes code has at most 255 blocks, and so has every
@@ -728,8 +760,8 @@ def _primitive_anchored(part):
     """``primitive`` by the full signed sum over the compositions anchored at
     1: the referee of the first-part route in ``verify`` and the tests."""
     r = _blocks(_primitive_code(part))
-    what, formula = f"_primitive_anchored of {r} blocks", f"2·Fubini({r - 1})"
-    _check_growth(what, formula, lambda m: 2 * fubini_numbers(m)[m], r - 1, "compositions")
+    message = "_primitive_anchored of {} blocks: predicted 2·Fubini({}) {count} compositions"
+    _check_growth(lambda m: 2 * fubini_numbers(m)[m], r - 1, message, r, r - 1)
     return NCSymElement._combine(
         (_encode(gamma.evaluate(part)), 1 if gamma.length % 2 else -1)
         for gamma in anchored_compositions(r)
@@ -746,7 +778,7 @@ def reduced_coproduct(x):
     splits = _coproduct_codes(x._terms)
     for code in x._terms:
         del splits[code, b""], splits[b"", code]
-    return TensorElement._wrap(splits)
+    return TensorElement._wrap(_nonzero(splits))
 
 
 def convolve(left_map, right_map, part):
@@ -841,7 +873,8 @@ def hall_primitive(atoms):
         _check_splits("primitive", atom.length)
     of, k = _primitives(), len(atoms)
     size = 2 ** (k - 1) * math.prod(len(of(atom)._terms) for atom in atoms)
-    _check_work(f"hall_primitive of {k} letters", f"2^{k - 1}·Π|P(letter)|", size, "terms")
+    message = "hall_primitive of {} letters: predicted 2^{}·Π|P(letter)| {count} terms"
+    _check_work(size, message, k, k - 1)
     return of(_hall_tree(atoms, key))
 
 
@@ -855,8 +888,8 @@ def lyndon_atom_words(total_weight):
     against the work limit first, which refuses weight 12 and up.
     """
     n = _checked_size(total_weight, "total weight", 1)
-    what = f"lyndon_atom_words of weight {n}"
-    _check_growth(what, f"Bell({n})", lambda m: bell_numbers(m)[m], n, "partitions")
+    message = "lyndon_atom_words of weight {0}: predicted Bell({0}) {count} partitions"
+    _check_growth(lambda m: bell_numbers(m)[m], n, message, n)
     return _lyndon_atom_words(set_partitions(n))
 
 
@@ -882,7 +915,7 @@ def _check_primitive_layer(what, n):
     reduced coproducts would take more splits than the work limit (from
     n = 10 on)."""
     _checked_size(n, "weight", 1)
-    _check_growth(f"{what} of weight {n}", "Σ_A 2^|A|", _split_count, n, "splits")
+    _check_growth(_split_count, n, "{} of weight {}: predicted Σ_A 2^|A| {count} splits", what, n)
 
 
 def primitive_space_dimension(n):

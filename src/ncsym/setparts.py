@@ -426,22 +426,25 @@ def fubini_numbers(r_max):
 WORK_LIMIT = 10**6
 
 
-def _check_work(what, formula, count, unit="", exact=True):
+def _check_work(count, message, *args, exact=True):
     """Refuse a call whose predicted ``count`` exceeds ``WORK_LIMIT``, with
-    ``ValueError("<what>: predicted <formula> = <count> <unit> (limit
-    1000000)")``; ``>`` stands for ``=`` when ``count`` is a lower bound."""
+    ``ValueError("<message> (limit 1000000)")``.  ``message`` is a
+    ``str.format`` template, such as ``"coproduct of {0} blocks: predicted
+    2^{0} {count} splits"``, filled with ``args`` only on refusal; its
+    ``{count}`` reads "= <count>", or "> <count>" when ``exact`` is false
+    and ``count`` is a lower bound.  So a call that passes builds no text."""
     if count > WORK_LIMIT:
-        amount = f"{formula} {'=' if exact else '>'} {count}" + (f" {unit}" if unit else "")
-        raise ValueError(f"{what}: predicted {amount} (limit {WORK_LIMIT})")
+        amount = f"{'=' if exact else '>'} {count}"
+        raise ValueError(f"{message.format(*args, count=amount)} (limit {WORK_LIMIT})")
 
 
-def _check_growth(what, formula, count_of, r, unit=""):
+def _check_growth(count_of, r, message, *args):
     """``_check_work`` on ``count_of(r)``, a count that grows with r and is
     at least 2^(r-1), so over the limit from r = 21 on: past 21 it is read at
     21, as a lower bound, so that the prediction takes constant time for any
     r."""
     known = min(r, WORK_LIMIT.bit_length() + 1)
-    _check_work(what, formula, count_of(known), unit, known == r)
+    _check_work(count_of(known), message, *args, exact=known == r)
 
 
 def _sequences(others, sep, fixed=0, done=(), group=()):

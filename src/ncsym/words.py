@@ -136,8 +136,8 @@ def quasi_shuffle(u, v):
     if not disjoint(u, v):
         raise ValueError("quasi-shuffle operands must be disjoint words")
     k, l = u.length, v.length
-    what = f"quasi_shuffle of {k} and {l} letters"
-    _check_work(what, f"D({k},{l})", _delannoy(k, l), "words", min(k, l) <= 21)
+    message = "quasi_shuffle of {0} and {1} letters: predicted D({0},{1}) {count} words"
+    _check_work(_delannoy(k, l), message, k, l, exact=min(k, l) <= 21)
     return _qshuffle(u, v)
 
 
@@ -158,9 +158,11 @@ def left_quasi_shuffle(u, v):
     """
     _check_left_operands(u, v)
     k, l = u.length, v.length
-    what = f"left_quasi_shuffle of {k} and {l} letters"
     count = _delannoy(k - 1, l) + _delannoy(k - 1, l - 1)
-    _check_work(what, f"D({k - 1},{l}) + D({k - 1},{l - 1})", count, "words", min(k - 1, l) <= 21)
+    message = (
+        "left_quasi_shuffle of {0} and {1} letters: predicted D({2},{1}) + D({2},{3}) {count} words"
+    )
+    _check_work(count, message, k, l, k - 1, l - 1, exact=min(k - 1, l) <= 21)
     return _qshuffle(u, v, True)
 
 
@@ -236,10 +238,10 @@ def restriction_tensor_sum(r, keep_left, keep_right):
     are refused.
     """
     _checked_size(r)
-    what, formula = f"restriction_tensor_sum of {r} elements", f"2·Fubini({r - 1})"
+    message = "restriction_tensor_sum of {} elements: predicted 2·Fubini({}) {count} compositions"
     # Checked before the sets, so that no size builds a set of {1..r}; a
     # size under 2 passes here and is refused below.
-    _check_growth(what, formula, lambda m: 2 * fubini_numbers(m)[m], max(r - 1, 0), "compositions")
+    _check_growth(lambda m: 2 * fubini_numbers(m)[m], max(r - 1, 0), message, r, r - 1)
     left, right = frozenset(keep_left), frozenset(keep_right)
     full = frozenset(range(1, r + 1))
     if 1 not in left:
@@ -313,7 +315,8 @@ def is_lyndon(word, key=None):
     n = len(seq)
     if not n:
         raise ValueError("empty word")
-    _check_work(f"is_lyndon of {n} letters", f"{n}·{n - 1}", n * (n - 1), "suffix letters")
+    message = "is_lyndon of {0} letters: predicted {0}·{1} {count} suffix letters"
+    _check_work(n * (n - 1), message, n, n - 1)
     return all(seq < seq[i:] for i in range(1, n))
 
 

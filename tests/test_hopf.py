@@ -95,6 +95,16 @@ class TestElement:
         assert x - x == NCSymElement.zero()
         assert -x == element(("12", -1), ("1.2", 2))
 
+    def test_no_zero_stored_where_terms_cancel(self):
+        # ``_wrap`` scans nothing, so every caller that can make a zero drops
+        # it first: a scalar 0, a sum, a coproduct's cancelled splits.
+        x = E(P("13.2")) - E(P("12.3"))
+        assert (x * 0)._terms == {} and (0 * x)._terms == {} and (x - x)._terms == {}
+        # (12)⊗(1) and (1)⊗(12) come from both terms and cancel, leaving the
+        # unit legs alone.
+        assert len(coproduct(x)._terms) == 4 and 0 not in coproduct(x)._terms.values()
+        assert reduced_coproduct(x)._terms == {}
+
     def test_homogeneity(self):
         assert element(("12", 1), ("1.2", 4)).is_homogeneous()
         assert not element(("1", 1), ("12", 1)).is_homogeneous()
@@ -504,6 +514,36 @@ class TestAntipode:
         code = _encode(mixed)
         assert isinstance(code, tuple) and hopf._code_atoms(code) == [code]
         assert mixed.atoms() == (mixed,)
+
+    def test_two_block_atoms_by_their_one_block_heads(self):
+        # Both heads of a two-block atom are one block, added in line: S(A) =
+        # -A + p_a·p_b + p_b·p_a, for blocks of sizes a and b.
+        atoms = [a for n in range(2, 9) for a in atomic_set_partitions(n) if a.length == 2]
+        assert len(atoms) == 219
+        for atom in atoms:
+            a, b = (E(SetPartition([tuple(range(1, len(block) + 1))])) for block in atom.blocks)
+            assert antipode(E(atom)) == antipode_direct(atom) == -E(atom) + a * b + b * a
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6, 11, 12, 300])
+    def test_one_block_atoms_answered_reversed(self, k):
+        # Every atom one block: S is (-1)^k times the blocks in reverse order,
+        # a tuple code past 255 blocks.
+        blocks = [E(SetPartition([tuple(range(1, 2 + i % 3))])) for i in range(k)]
+        x = math.prod(blocks, start=NCSymElement.unit())
+        expected = (-1) ** k * math.prod(reversed(blocks), start=NCSymElement.unit())
+        assert isinstance(next(iter(x._terms)), tuple) == (k > 255)
+        assert antipode(x) == expected
+        if k <= 6:
+            assert antipode(x, "direct") == expected
+
+    def test_kernel_dicts_hold_no_zero(self):
+        # Elements take the kernel's dicts unscanned.
+        antipode_of, first_part_sum = hopf._kernel()
+        for n in range(1, 7):
+            for part in set_partitions(n):
+                code = _encode(part)
+                assert 0 not in antipode_of(code).values()
+                assert 0 not in first_part_sum(code).values()
 
     def test_scalar_multiples(self):
         for x in (E(P("1")), E(P("123")), E(P("13.2.4")), E(P("13.2")) * E(P("12"))):

@@ -13,6 +13,7 @@ from ncsym import (
     cli,
     hopf,
     set_partitions,
+    setparts,
     words,
 )
 from ncsym.cli import main
@@ -345,3 +346,23 @@ def test_hall_word_refused_before_any_bracket(monkeypatch, extra, predicted):
     assert hall_refusal(monkeypatch, word) == (
         f"hall_primitive of {len(word)} letters: predicted {predicted} terms (limit 1000000)"
     )
+
+
+class Unformattable(str):
+    def format(self, *args, **kwargs):
+        raise AssertionError("a message was built for a call under the limit")
+
+
+def test_a_call_under_the_limit_builds_no_message():
+    setparts._check_work(setparts.WORK_LIMIT, Unformattable("x {count}"))
+    setparts._check_growth(lambda m: 3**m, 12, Unformattable("x {count}"))
+
+
+def test_a_refusal_fills_its_message():
+    with pytest.raises(ValueError) as exc:
+        message = "{0} of {1} blocks: predicted 3^{1} {count} splits"
+        setparts._check_growth(lambda m: 3**m, 13, message, "y", 13)
+    assert str(exc.value) == "y of 13 blocks: predicted 3^13 = 1594323 splits (limit 1000000)"
+    with pytest.raises(ValueError) as exc:
+        setparts._check_growth(lambda m: 2**m, 30, "z {0}: predicted 2^{0} {count}", 30)
+    assert str(exc.value) == "z 30: predicted 2^30 > 2097152 (limit 1000000)"

@@ -286,3 +286,15 @@ def test_unitriangular_builds_each_atom_text_once(monkeypatch):
     [result] = verify.run_checks(max_weight=5, names=["unitriangular"])
     atoms = {hopf._encode(a) for n in range(1, 6) for a in setparts.atomic_set_partitions(n)}
     assert result.ok and set(texts) == atoms and set(texts.values()) == {1}
+
+
+def test_coassociativity_and_grading_decode_no_term(monkeypatch):
+    # Both checks read the coproduct's codes: weights are code lengths and
+    # the coassociativity sums compare as maps on codes.
+    def refused(self, order=None):
+        raise AssertionError("a term was decoded")
+
+    monkeypatch.setattr(hopf.TensorElement, "_decoded", refused)
+    monkeypatch.setattr(hopf.NCSymElement, "_decoded", refused)
+    results = verify.run_checks(max_weight=5, names=["coassociativity", "grading"])
+    assert [(r.name, r.ok) for r in results] == [("coassociativity", True), ("grading", True)]
