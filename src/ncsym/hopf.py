@@ -8,8 +8,10 @@ set compositions; the default route by atoms, which applies the antipode as
 an antimorphism over the atomic splitting and evaluates each atom's
 composition sum by recursion on its last part (at most 3^r head/tail pairs
 for an atom of r blocks, against Fubini(r) compositions, and none for a
-single block, whose antipode is its negative since it is primitive); and a
-memoized graded-connected recursion used as an independent oracle.  The
+single block, whose antipode is its negative since it is primitive), every
+head's splits and atoms read by label mask off the atom's one table of 2^r
+splits; and a memoized graded-connected recursion used as an independent
+oracle.  The
 primitive generators, their leading-term order, and the Hall bracket basis
 of the primitive Lie algebra live here too.
 
@@ -67,8 +69,12 @@ its labels, highest first, in which every split so far either keeps the
 label or drops it: one ``bytes.translate`` that deletes the label's
 positions and moves every higher label down by one (``_all_splits``), so
 entry i keeps i.bit_count() labels and the default route reads each head's
-block count off its index.  The product appends the second code with its
-labels shifted up by the first's block count.
+block count off its index.  Restriction and standardization compose, so
+the splits of the head at label mask J are the entries at J's sub-masks:
+the default route splits each atom once and reads every head below it by
+mask, cutting a head into atoms from each label's first and last positions
+(``_kernel``).  The product appends the second code with its labels shifted
+up by the first's block count.
 
 ``NCSymElement`` and ``TensorElement`` share one private base,
 ``_Combination`` (arithmetic, equality, hash, text form), whose terms are
@@ -498,147 +504,196 @@ def _code_atoms(code):
     return pieces
 
 
+def _code_cut(code):
+    """Atoms of a nonempty code by ``_code_atoms``, or () with no scan when
+    its labels never decrease: then every block is an atom."""
+    return () if sorted(code) == list(code) else _code_atoms(code)
+
+
 def _kernel():
     """The default route's antipode on codes, memoized for one call.
 
     Returns ``antipode_of(code, pieces=None)``, a dict of codes to
-    coefficients, where ``pieces`` may hand over the code's atoms when the
-    caller has already split it, and ``first_part_sum(code)``, the anchored
-    sum over the label sets K holding label 0 of std(A|K) * S(std(A|rest)),
-    which a primitive needs with S on the right factor.  An atom's antipode
-    is taken by its last part, the same m(S ⊗ id)Δ = ε recursion read from
-    the other side: S(A) = -sum over K short of all labels of S(std(A|K)) *
-    std(A|rest).  Each sum is seeded with its empty side's term, S(empty) =
-    1: -A for the last-part sum, +A for the first-part sum.  A pair whose
-    antipode side is one block, p_[m] being primitive, is added in line with
-    no memo lookup and no recursion: +head * tail for a one-block head of the
-    last-part sum, -head * tail for a one-block tail of the first-part sum.
-    Only the other pairs are counted, equal (head, tail, k) splits on a plain
-    dict, k being the head's block count, read off the split index (entry i
-    of ``_all_splits`` keeps i.bit_count() labels).  Every term of an
-    antipode has its code's block count, so the last-part sum shifts each
-    distinct tail up by k once and a product is the bare ``q + tail``; the
-    first-part sum shifts each q of S(tail) and appends it to the head.  A
-    code ending in label 0 is one atom, answered with no cut: a single block
-    as -itself, anything else by its last-part sum.  A code whose atoms are
-    all single blocks is answered as one term, its blocks reversed with sign
-    (-1)^t, and no factor is taken.  A product of atoms whose Π|S(atom)|
-    terms exceed the work limit is refused before it is multiplied.  Every
-    dict returned holds no zero, so an element may take it unscanned.
-    Callers may keep the dicts returned, and must not change them while the
-    kernel is in use; the memo dies with the kernel, so a caller done with it
-    may take a dict over.
+    coefficients, where ``pieces`` may hand over the code's ``_code_cut``
+    when the caller has already cut it, and ``first_part_sum(code)``, the
+    anchored sum over the label sets K holding label 0 of std(A|K) *
+    S(std(A|rest)), which a primitive needs with S on the right factor.  An
+    atom's antipode is taken by its last part, the same m(S ⊗ id)Δ = ε
+    recursion read from the other side: S(A) = -sum over K short of all
+    labels of S(std(A|K)) * std(A|rest).  Each sum is seeded with its empty
+    side's term, S(empty) = 1: -A for the last-part sum, +A for the
+    first-part sum.
+
+    Each atom of the input, and each code given a first-part sum, is split
+    once into its table of 2^r splits (``_all_splits``), and every head met
+    below it is read off that table by its label mask J: restriction and
+    standardization compose, so the splits of std(A|J) are the table's
+    entries at the sub-masks H of J, head std(A|H) and tail std(A|J ^ H),
+    with H.bit_count() blocks.  A head's atoms are cut from one (mask bit,
+    first position, last position) entry per label: a cut falls before a
+    label of the mask whose first position lies past every earlier label's
+    last.  So no head is split or cut again; only the input's own codes are
+    cut, by ``_code_cut``.  The memo is keyed by code, so each distinct
+    code's antipode is taken once, whichever mask or table meets it first.
+
+    A pair whose antipode side is one block, p_[m] being primitive, is added
+    in line with no memo lookup and no recursion: +head * tail for a
+    one-block head of the last-part sum, -head * tail for a one-block tail of
+    the first-part sum.  The other pairs are counted first, equal (head,
+    tail, k) splits on a plain dict, k being the head's block count.  Every
+    term of an antipode has its code's block count, so the last-part sum
+    shifts each distinct tail up by k once and a product is the bare ``q +
+    tail``; the first-part sum shifts each q of S(tail) and appends it to the
+    head.  A code whose atoms are all single blocks is answered as one term,
+    its blocks reversed with sign (-1)^t, and no factor is taken; any other
+    code of several atoms is the product of their antipodes, refused before
+    it is multiplied when its Π|S(atom)| terms exceed the work limit.  These
+    two answers are shared by the input's codes and the masks.  Every dict
+    returned holds no zero, so an element may take it unscanned.  Callers
+    may keep the dicts returned, and must not change them while the kernel
+    is in use; the memo dies with the kernel, so a caller done with it may
+    take a dict over.
     """
     memo = {b"": {b"": 1}}
 
-    def counted(subs, start, single, sign, out):
-        # (std(A|K), std(A|rest), |K|) for split entries start to the last
-        # but one, equal ones counted: entry i keeps i.bit_count() labels and
-        # its rest is the mirrored entry.  A pair whose one-block side makes
-        # |K| = single is added to ``out`` in line, as sign * std(A|K) *
-        # std(A|rest), since p_[m] is primitive.
-        stop = len(subs) - 1
-        counts, shift, sizes = {}, _SHIFT[single], map(int.bit_count, range(start, stop))
-        # Each zip tuple is its own count key, built once per entry.
-        for triple in zip(subs[start:stop], subs[stop - start : 0 : -1], sizes):
-            if triple[2] == single:
-                head, tail, _ = triple
-                key = head + tail.translate(shift)
-                out[key] = out.get(key, 0) + sign
+    def flipped(code, t):
+        # Every atom one block: S(A) is the one term (-1)^t times the t
+        # blocks in reverse order, whose code is A's reversed with each label
+        # l read as t - 1 - l.
+        labels = [t - 1 - label for label in reversed(code)]
+        return {bytes(labels) if isinstance(code, bytes) else tuple(labels): (-1) ** t}
+
+    def multiplied(code, atoms, width, antipode):
+        # S(A_t)...S(A_1), each atom of width(atom) blocks.  Every term of an
+        # atom's antipode has the atom's block count, so no two products of
+        # the factors' terms coincide, the product has exactly as many terms
+        # as the product of the factors' sizes, and the running product is
+        # shifted once per atom.
+        factors = list(map(antipode, atoms))
+        size = math.prod(map(len, factors))
+        _check_work(size, "antipode of a product of atoms: predicted Π|S(atom)| {count} terms")
+        got = factors[0]
+        for atom, factor in zip(atoms[1:], factors[1:]):
+            # A bytes code has at most 255 blocks, and so has every partial
+            # product; a tuple code's products go through _concat.
+            if isinstance(code, bytes):
+                shift = _SHIFT[width(atom)]
+                tails = [(y.translate(shift), cy) for y, cy in got.items()]
+                got = {x + y: cx * cy for x, cx in factor.items() for y, cy in tails}
             else:
-                counts[triple] = counts.get(triple, 0) + 1
-        return counts.items()
+                got = {_concat(x, y): cx * cy for x, cx in factor.items() for y, cy in got.items()}
+        return got
 
-    def first_part_sum(code):
+    def part_sum(code, first):
+        # The first- or last-part sum of a code, on the code's one table.
         subs = _all_splits(code)
-        # K = all labels leaves S(empty) = 1; the sets holding label 0 are
-        # the second half, and a one-block rest has S(rest) = -rest.
-        out = {code: 1}
-        for (head, tail, k), n in counted(subs, len(subs) // 2, _blocks(code) - 1, -1, out):
-            shift = _SHIFT[k]
-            # A memo hit skips the call: no antipode is empty.
-            for q, c in (memo.get(tail) or antipode_of(tail)).items():
-                key = head + q.translate(shift)
-                out[key] = out.get(key, 0) + n * c
-        return _nonzero(out)
+        r = len(subs).bit_length() - 1
+        # Up to two blocks, every side of every pair is one block, added in
+        # line: no head is looked up by its mask.
+        if r > 2:
+            mask_of = dict(zip(subs, range(len(subs))))
+            labels = [(1 << (r - 1 - l), code.find(l), code.rfind(l)) for l in range(r)]
 
-    def last_part_sum(code):
-        subs = _all_splits(code)
-        # K = no label is -A, as S(empty) = 1, and a one-block head gives
-        # -S(head) * rest = head * rest.
-        out = {code: -1}
-        for (head, tail, k), n in counted(subs, 1, 1, 1, out):
-            tail = tail.translate(_SHIFT[k])
-            for q, c in (memo.get(head) or antipode_of(head)).items():
-                key = q + tail
-                out[key] = out.get(key, 0) - n * c
-        return _nonzero(out)
+        def by_mask(mask):
+            head = subs[mask]
+            got = memo.get(head)
+            if got is None:
+                atoms, reach = [], -1
+                for bit, start, end in labels:
+                    if mask & bit:
+                        if start > reach:
+                            atoms.append(bit)
+                        else:
+                            atoms[-1] |= bit
+                        if end > reach:
+                            reach = end
+                k = mask.bit_count()
+                if len(atoms) == k:
+                    got = flipped(head, k)
+                elif len(atoms) == 1:
+                    got = summed(mask, False)
+                else:
+                    got = multiplied(head, atoms, int.bit_count, by_mask)
+                memo[head] = got
+            return got
+
+        def summed(mask, first):
+            # The pairs (std(A|H), std(A|mask ^ H), |H|) over the sub-masks H
+            # of the mask, read off the table from the top down.  The
+            # last-part sum takes every H but the mask and 0, a one-block
+            # head giving -S(head) * rest = head * rest; the first-part sum,
+            # on the whole table, the H holding label 0 (the top bit) but the
+            # mask, a one-block rest giving -head * rest.
+            single, sign, low = 1, 1, 1
+            if first:
+                single, sign, low = mask.bit_count() - 1, -1, (mask + 1) // 2
+            out, counts, shift = {subs[mask]: -sign}, {}, _SHIFT[single]
+            sub = mask
+            while (sub := (sub - 1) & mask) >= low:
+                # Each triple is its own count key, built once per pair.
+                triple = subs[sub], subs[mask ^ sub], sub.bit_count()
+                if triple[2] == single:
+                    head, tail, _ = triple
+                    key = head + tail.translate(shift)
+                    out[key] = out.get(key, 0) + sign
+                else:
+                    counts[triple] = counts.get(triple, 0) + 1
+            for (head, tail, k), n in counts.items():
+                shift = _SHIFT[k]
+                # A memo hit skips the call: no antipode is empty.
+                if first:
+                    for q, c in (memo.get(tail) or by_mask(mask_of[tail])).items():
+                        key = head + q.translate(shift)
+                        out[key] = out.get(key, 0) + n * c
+                else:
+                    tail = tail.translate(shift)
+                    for q, c in (memo.get(head) or by_mask(mask_of[head])).items():
+                        key = q + tail
+                        out[key] = out.get(key, 0) - n * c
+            return _nonzero(out)
+
+        return summed(len(subs) - 1, first)
 
     def antipode_of(code, pieces=None):
         got = memo.get(code)
-        if got is not None:
-            return got
-        # Only a code not ending in label 0 can have a second atom to cut.
-        if code[-1] != 0 and pieces is None:
-            pieces = _code_atoms(code)
-        if code[-1] == 0 or len(pieces) == 1:
-            # One atom.  One block: p_[n] is primitive, so S(p_[n]) = -p_[n].
-            got = {code: -1} if code.count(0) == len(code) else last_part_sum(code)
-        elif len(pieces) == _blocks(code):
-            # Every atom one block: S(A) is the one term (-1)^t times the t
-            # blocks in reverse order, whose code is A's reversed with each
-            # label l read as t - 1 - l.
-            t = len(pieces)
-            flipped = [t - 1 - label for label in reversed(code)]
-            got = {bytes(flipped) if isinstance(code, bytes) else tuple(flipped): (-1) ** t}
-        else:
-            # S(A_t)...S(A_1).  Every term of an atom's antipode has the
-            # atom's block count, so no two products of the factors' terms
-            # coincide, the product has exactly as many terms as the product
-            # of the factors' sizes, and the running product is shifted once
-            # per atom.
-            factors = [antipode_of(piece, [piece]) for piece in pieces]
-            size = math.prod(map(len, factors))
-            _check_work(size, "antipode of a product of atoms: predicted Π|S(atom)| {count} terms")
-            got = factors[0]
-            for piece, factor in zip(pieces[1:], factors[1:]):
-                # A bytes code has at most 255 blocks, and so has every
-                # partial product; a tuple code's products go through _concat.
-                if isinstance(code, bytes):
-                    shift = _SHIFT[_blocks(piece)]
-                    tails = [(y.translate(shift), cy) for y, cy in got.items()]
-                    got = {x + y: cx * cy for x, cx in factor.items() for y, cy in tails}
-                else:
-                    got = {
-                        _concat(x, y): cx * cy for x, cx in factor.items() for y, cy in got.items()
-                    }
-        memo[code] = got
+        if got is None:
+            if pieces is None:
+                pieces = _code_cut(code)
+            if len(pieces) > 1:
+                got = multiplied(code, pieces, _blocks, lambda atom: antipode_of(atom, [atom]))
+            elif len(pieces) == 1 < _blocks(code):
+                got = part_sum(code, False)
+            else:
+                # No cut (every atom one block), or one block.
+                got = flipped(code, _blocks(code))
+            memo[code] = got
         return got
 
-    return antipode_of, first_part_sum
+    return antipode_of, functools.partial(part_sum, first=True)
 
 
 def _factored_codes(terms):
     """The default route on a map of codes to coefficients: a dict of the
     antipode's codes to coefficients, owned by the caller.
 
-    Each nonempty code is cut into atoms once, and the 3^r splits of the
-    widest atom are checked against the work limit before any work; one
+    Each nonempty code is cut into atoms once, a code whose labels never
+    decrease with no scan (its atoms are its blocks), and the 3^r splits of
+    the widest atom are checked against the work limit before any work; one
     kernel, and so one memo, serves all the terms.  A single term with
     coefficient 1 gets the kernel's own dict, uncopied.
     """
-    atoms = {code: _code_atoms(code) for code in terms if code}
-    r = max(map(_blocks, itertools.chain.from_iterable(atoms.values())), default=0)
+    cuts = {code: _code_cut(code) for code in terms if code}
+    r = max(map(_blocks, itertools.chain.from_iterable(cuts.values())), default=0)
     _check_splits("antipode of an atom", r)
     antipode_of, _ = _kernel()
     if len(terms) == 1:
         # The kernel's memo dies with this call, so its dict can be handed on.
         ((code, coeff),) = terms.items()
-        got = antipode_of(code, atoms.get(code))
+        got = antipode_of(code, cuts.get(code))
         return got if coeff == 1 else {q: coeff * c for q, c in got.items()}
     out = {}
     for code, coeff in terms.items():
-        for q, c in antipode_of(code, atoms.get(code)).items():
+        for q, c in antipode_of(code, cuts.get(code)).items():
             out[q] = out.get(q, 0) + coeff * c
     return _nonzero(out)
 
@@ -654,13 +709,19 @@ def antipode_factored(part):
     so S(p_[n]) = -p_[n] with no recursion.  Every partition met is a
     standardized sub-partition of one input atom, memoized for this call
     only, so an atom of r blocks costs at most 3^r head/tail pairs and a
-    many-atom input the sum of its atoms' costs.
+    many-atom input the sum of its atoms' costs.  A partition whose blocks
+    are its atoms (its labels never decrease) is answered with no cut and
+    no split: its blocks reversed, with sign (-1)^t.
 
     The whole route runs on codes (see ``_encode``), which are canonical by
-    construction: the heads and tails are byte translates of the code
-    (``_all_splits``), each distinct tail's labels are shifted up once by
-    the head's block count, read off the head's split index, a product is
-    ``q + tail``, and no partition is built, sorted or checked inside.  An
+    construction.  Each input atom is split once, into its 2^r byte
+    translates (``_all_splits``), and every head below it is read off that
+    table by its label mask: the head at mask J splits into the entries at
+    J's sub-masks and is cut into atoms from each label's first and last
+    positions, so no head is split or cut again (see ``_kernel``).  Each
+    distinct tail's labels are shifted up once by the head's block count,
+    read off the head's split index, a product is ``q + tail``, and no
+    partition is built, sorted or checked inside.  An
     input whose widest atom's 3^r splits exceed the work limit (13 blocks or
     more) is refused before any work, and a product over the atoms with more
     terms than the limit before it is multiplied; the product keys past 255

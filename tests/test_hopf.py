@@ -413,6 +413,16 @@ class TestAntipode:
         for atom in atomic_set_partitions(7):
             assert antipode_factored(atom) == antipode_oracle(atom)
 
+    def test_wide_atoms_refereed_at_weight_eight(self):
+        # Every atom of weight 8 with at least 5 blocks: its heads' splits and
+        # atoms are read off its one table, and the oracle referees the
+        # antipode; the primitive has a zero reduced coproduct.
+        atoms = [atom for atom in atomic_set_partitions(8) if atom.length >= 5]
+        assert len(atoms) == 362
+        for atom in atoms:
+            assert antipode_factored(atom) == antipode_oracle(atom), atom
+            assert reduced_coproduct(primitive(atom)).is_zero(), atom
+
     def test_kernel_refereed_at_weight_seven(self):
         # The kernel sums each atom's antipode by its last part and each
         # primitive by its first: the oracle and the anchored sum referee
@@ -474,22 +484,36 @@ class TestAntipode:
         assert str(again.value) == str(refused.value)
 
     def test_each_code_cut_into_atoms_once(self, monkeypatch):
-        calls = collections.Counter()
-        cut = hopf._code_atoms
+        # The kernel cuts only the element's own codes, and splits each
+        # distinct atom it sums once: every head's splits and atoms are read
+        # off that atom's table by label mask.
+        cuts, splits = collections.Counter(), collections.Counter()
+        cut, split = hopf._code_atoms, hopf._all_splits
 
-        def counted(code):
-            calls[code] += 1
+        def counted_cut(code):
+            cuts[code] += 1
             return cut(code)
 
-        monkeypatch.setattr(hopf, "_code_atoms", counted)
+        def counted_split(code):
+            splits[code] += 1
+            return split(code)
+
         x = E(P("13.2.4.57.6")) - 3 * E(P("13.2")) + 2 * NCSymElement.unit()
-        assert antipode(x) == (
-            antipode_oracle(P("13.2.4.57.6"))
-            - 3 * antipode_oracle(P("13.2"))
-            + 2 * NCSymElement.unit()
-        )
-        assert calls and set(calls.values()) == {1}
-        assert calls[_encode(P("13.2.4.57.6"))] == 1
+        atom = P("15.2.38.4.6.7")
+        # The referees first: the oracle takes its splits from _all_splits.
+        want = antipode(x, "oracle"), antipode_oracle(atom), _primitive_anchored(atom)
+        monkeypatch.setattr(hopf, "_code_atoms", counted_cut)
+        monkeypatch.setattr(hopf, "_all_splits", counted_split)
+        assert antipode(x) == want[0]
+        assert cuts == {_encode(P("13.2.4.57.6")): 1, _encode(P("13.2")): 1}
+        assert splits == {_encode(P("13.2")): 1}
+        for call in (lambda: antipode(E(atom)), lambda: antipode_factored(atom)):
+            cuts.clear(), splits.clear()
+            assert call() == want[1]
+            assert cuts == splits == {_encode(atom): 1}
+        cuts.clear(), splits.clear()
+        assert primitive(atom) == want[2]
+        assert not cuts and splits == {_encode(atom): 1}
 
     def test_one_block_answered_without_a_split(self, monkeypatch):
         # p_[n] is primitive, so S(p_[n]) = -p_[n]; the kernel neither cuts
@@ -525,14 +549,22 @@ class TestAntipode:
             assert antipode(E(atom)) == antipode_direct(atom) == -E(atom) + a * b + b * a
 
     @pytest.mark.parametrize("k", [1, 2, 3, 6, 11, 12, 300])
-    def test_one_block_atoms_answered_reversed(self, k):
+    def test_one_block_atoms_answered_reversed(self, k, monkeypatch):
         # Every atom one block: S is (-1)^k times the blocks in reverse order,
-        # a tuple code past 255 blocks.
+        # a tuple code past 255 blocks.  Such a code's labels never decrease,
+        # so it is answered with no cut scan and no split, alone or beside
+        # another such term.
+        def unreached(code):
+            raise AssertionError(f"reached with {code!r}")
+
         blocks = [E(SetPartition([tuple(range(1, 2 + i % 3))])) for i in range(k)]
-        x = math.prod(blocks, start=NCSymElement.unit())
+        x, y = math.prod(blocks, start=NCSymElement.unit()), E(singletons(k))
         expected = (-1) ** k * math.prod(reversed(blocks), start=NCSymElement.unit())
         assert isinstance(next(iter(x._terms)), tuple) == (k > 255)
-        assert antipode(x) == expected
+        monkeypatch.setattr(hopf, "_code_atoms", unreached)
+        monkeypatch.setattr(hopf, "_all_splits", unreached)
+        assert antipode(x) == antipode_factored(x.support()[0]) == expected
+        assert antipode(x - 2 * y) == expected - 2 * (-1) ** k * y
         if k <= 6:
             assert antipode(x, "direct") == expected
 

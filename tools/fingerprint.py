@@ -10,6 +10,8 @@ One ``<sha256>  <what>`` line each for:
   ``set_partitions`` order, one line per partition;
 * the same for ``antipode_factored`` and ``primitive`` on every standard
   partition of weight 7;
+* the same, in one line, on four wide atoms that weight 7 never reaches,
+  of 6, 11, 12 and 12 blocks (``WIDE_ATOMS``);
 * the refusals, one ``<type>: <message>`` line per call, of each
   integer-argument entry point called with -1, True, 1.5 and "2", and of
   each route that predicts 3^r splits (``antipode_factored``,
@@ -53,6 +55,16 @@ CLI_ARGV = [
 ]
 
 
+# Atoms of weight 8 to 16, of 6, 11, 12 and 12 blocks: 12 blocks is the
+# widest atom the work limit runs.
+WIDE_ATOMS = [
+    "15.2.38.4.6.7",
+    "1,12.2.3.4.5.6.7.8.9.10.11",
+    "1,14.2,11.3.4.5.6.7.8.9.10.12.13",
+    "1,8.2.3,5.4.6,14.7.9.10.11,16.12.13.15",
+]
+
+
 def _digest(data):
     return hashlib.sha256(data).hexdigest()
 
@@ -91,9 +103,13 @@ def main():
         text = "".join(f"{call(part)}\n" for part in parts)
         print(f"{_digest(text.encode())}  {name} on the {len(parts)} partitions of weight 1-6")
     parts = list(set_partitions(7))
-    for name in ("antipode_factored", "primitive"):
+    names = ("antipode_factored", "primitive")
+    for name in names:
         text = "".join(f"{calls[name](part)}\n" for part in parts)
         print(f"{_digest(text.encode())}  {name} on the {len(parts)} partitions of weight 7")
+    atoms = [SetPartition.parse(text) for text in WIDE_ATOMS]
+    text = "".join(f"{calls[name](atom)}\n" for atom in atoms for name in names)
+    print(f"{_digest(text.encode())}  antipode_factored and primitive on {len(atoms)} wide atoms")
     integer_calls = [
         lambda n: SetPartition.parse("12.3").shift(n),
         set_partitions,
