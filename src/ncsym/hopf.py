@@ -6,14 +6,14 @@ standardized splits of the block set over all ordered disjoint unions of the
 block indices.  The antipode comes in three forms: the full signed sum over
 set compositions; the default route by atoms, which applies the antipode as
 an antimorphism over the atomic splitting and evaluates each atom's
-composition sum by recursion on its last part (at most 3^r head/tail pairs
-for an atom of r blocks, against Fubini(r) compositions, and none for a
-single block, whose antipode is its negative since it is primitive), every
-head's splits and atoms read by label mask off the atom's one table of 2^r
-splits; and a memoized graded-connected recursion used as an independent
-oracle.  The
-primitive generators, their leading-term order, and the Hall bracket basis
-of the primitive Lie algebra live here too.
+composition sum by its last part (at most 3^r head/tail pairs for an atom
+of r blocks, against Fubini(r) compositions; none for a single block, whose
+antipode is its negative since it is primitive, and none for two blocks,
+answered in closed form), in one bottom-up sweep over the label masks of
+the atom's one table of 2^r splits; and a memoized graded-connected
+recursion used as an independent oracle.  The primitive generators, their
+leading-term order, and the Hall bracket basis of the primitive Lie algebra
+live here too.
 
 Each route predicts its work from the block count r and refuses, before any
 work, a call whose prediction exceeds ``setparts.WORK_LIMIT`` (10^6): 2^r
@@ -36,8 +36,11 @@ the signed sum over those is the antipode of the rest, with the sign of the
 first part moved onto it.  So ``primitive`` runs on the default antipode
 route's kernel, which keeps this first-part sum for primitives beside the
 last-part sum it takes each atom's antipode by, since the primitive needs S
-on the right factor; the anchored sum itself (``_primitive_anchored``)
-referees it in ``verify`` and the tests.  Every primitive is taken from one
+on the right factor.  Its tails never hold label 0, so it sweeps only the
+lower half of the code's table, the masks without label 0, before its one
+sum at the top, in the same pair loop as the last-part sum (``_part_sum``);
+the anchored sum itself (``_primitive_anchored``) referees it in ``verify``
+and the tests.  Every primitive is taken from one
 private source, ``_primitives()``: built on one kernel, it maps a partition,
 or a Hall tree of atoms, to its element and keeps each leaf and each bracket
 subtree for its lifetime.  ``primitive`` and ``hall_primitive`` read a fresh
@@ -70,11 +73,14 @@ label or drops it: one ``bytes.translate`` that deletes the label's
 positions and moves every higher label down by one (``_all_splits``), so
 entry i keeps i.bit_count() labels and the default route reads each head's
 block count off its index.  Restriction and standardization compose, so
-the splits of the head at label mask J are the entries at J's sub-masks:
-the default route splits each atom once and reads every head below it by
-mask, cutting a head into atoms from each label's first and last positions
-(``_kernel``).  The product appends the second code with its labels shifted
-up by the first's block count.
+the splits of the head at label mask J are the entries at J's sub-masks,
+each numerically smaller than J: the default route splits each atom once
+and sweeps its masks in increasing order, with no recursion (``_sweep``).
+Each mask is cut into atoms in O(1) from the mask without its highest
+label, a non-atomic mask is one binary product of antipodes already in the
+memo, S(M) = S(L)·S(M ^ L) for its last atom L, and an atomic one is summed
+by its last part.  The product appends the second code with its labels
+shifted up by the first's block count.
 
 ``NCSymElement`` and ``TensorElement`` share one private base,
 ``_Combination`` (arithmetic, equality, hash, text form), whose terms are
@@ -458,7 +464,11 @@ def _check_splits(what, r):
     """Refuse ``what`` of ``r`` blocks, before any work, when its 3^r splits
     exceed the work limit: the one prediction of the default route, the
     oracle, ``primitive`` and ``hall_primitive``."""
-    _check_growth(lambda m: 3**m, r, "{0} of {1} blocks: predicted 3^{1} {count} splits", what, r)
+    _check_growth(_POWERS_OF_3, r, "{0} of {1} blocks: predicted 3^{1} {count} splits", what, r)
+
+
+# 3^m for the 3^r prediction, built once rather than per check.
+_POWERS_OF_3 = functools.partial(pow, 3)
 
 
 def counit(x):
@@ -505,9 +515,18 @@ def _code_atoms(code):
 
 
 def _code_cut(code):
-    """Atoms of a nonempty code by ``_code_atoms``, or () with no scan when
-    its labels never decrease: then every block is an atom."""
+    """Atoms of a code by ``_code_atoms``, or () with no scan when its labels
+    never decrease: then every block is an atom."""
     return () if sorted(code) == list(code) else _code_atoms(code)
+
+
+def _two_blocks(code, a):
+    """S(A) of a two-block atom A, a of whose entries are in its first block:
+    -A + p_a·p_b + p_b·p_a, in closed form, since both its one-block heads
+    are primitive.  Neither product is A, which is atomic."""
+    b = len(code) - a
+    ab, ba = bytes(a) + b"\1" * b, bytes(b) + b"\1" * a
+    return {code: -1, ab: 1, ba: 1} if a != b else {code: -1, ab: 2}
 
 
 def _kernel():
@@ -517,183 +536,192 @@ def _kernel():
     coefficients, where ``pieces`` may hand over the code's ``_code_cut``
     when the caller has already cut it, and ``first_part_sum(code)``, the
     anchored sum over the label sets K holding label 0 of std(A|K) *
-    S(std(A|rest)), which a primitive needs with S on the right factor.  An
-    atom's antipode is taken by its last part, the same m(S ⊗ id)Δ = ε
-    recursion read from the other side: S(A) = -sum over K short of all
-    labels of S(std(A|K)) * std(A|rest).  Each sum is seeded with its empty
-    side's term, S(empty) = 1: -A for the last-part sum, +A for the
-    first-part sum.
-
-    Each atom of the input, and each code given a first-part sum, is split
-    once into its table of 2^r splits (``_all_splits``), and every head met
-    below it is read off that table by its label mask J: restriction and
-    standardization compose, so the splits of std(A|J) are the table's
-    entries at the sub-masks H of J, head std(A|H) and tail std(A|J ^ H),
-    with H.bit_count() blocks.  A head's atoms are cut from one (mask bit,
-    first position, last position) entry per label: a cut falls before a
-    label of the mask whose first position lies past every earlier label's
-    last.  So no head is split or cut again; only the input's own codes are
-    cut, by ``_code_cut``.  The memo is keyed by code, so each distinct
-    code's antipode is taken once, whichever mask or table meets it first.
-
-    A pair whose antipode side is one block, p_[m] being primitive, is added
-    in line with no memo lookup and no recursion: +head * tail for a
-    one-block head of the last-part sum, -head * tail for a one-block tail of
-    the first-part sum.  The other pairs are counted first, equal (head,
-    tail, k) splits on a plain dict, k being the head's block count.  Every
-    term of an antipode has its code's block count, so the last-part sum
-    shifts each distinct tail up by k once and a product is the bare ``q +
-    tail``; the first-part sum shifts each q of S(tail) and appends it to the
-    head.  A code whose atoms are all single blocks is answered as one term,
-    its blocks reversed with sign (-1)^t, and no factor is taken; any other
-    code of several atoms is the product of their antipodes, refused before
-    it is multiplied when its Π|S(atom)| terms exceed the work limit.  These
-    two answers are shared by the input's codes and the masks.  Every dict
-    returned holds no zero, so an element may take it unscanned.  Callers
-    may keep the dicts returned, and must not change them while the kernel
-    is in use; the memo dies with the kernel, so a caller done with it may
-    take a dict over.
+    S(std(A|rest)), which a primitive needs with S on the right factor.
+    Both are plain functions of this call's memo, which is keyed by code, so
+    each distinct code's antipode is taken once, whichever table meets it
+    first; every dict returned holds no zero, so an element may take it
+    unscanned.  Callers may keep the dicts returned, and must not change them
+    while the kernel is in use; the memo dies with the kernel, so a caller
+    done with it may take a dict over.
     """
     memo = {b"": {b"": 1}}
+    return functools.partial(_antipode_of, memo), functools.partial(_table_sum, memo, first=True)
 
-    def flipped(code, t):
-        # Every atom one block: S(A) is the one term (-1)^t times the t
-        # blocks in reverse order, whose code is A's reversed with each label
-        # l read as t - 1 - l.
-        labels = [t - 1 - label for label in reversed(code)]
-        return {bytes(labels) if isinstance(code, bytes) else tuple(labels): (-1) ** t}
 
-    def multiplied(code, atoms, width, antipode):
-        # S(A_t)...S(A_1), each atom of width(atom) blocks.  Every term of an
-        # atom's antipode has the atom's block count, so no two products of
-        # the factors' terms coincide, the product has exactly as many terms
-        # as the product of the factors' sizes, and the running product is
-        # shifted once per atom.
-        factors = list(map(antipode, atoms))
-        size = math.prod(map(len, factors))
-        _check_work(size, "antipode of a product of atoms: predicted Π|S(atom)| {count} terms")
-        got = factors[0]
-        for atom, factor in zip(atoms[1:], factors[1:]):
+def _antipode_of(memo, code, pieces=None):
+    """S of a code on the memo, ``pieces`` being its ``_code_cut``.  A code
+    whose atoms are all one block is one term, its t blocks reversed with
+    sign (-1)^t; any other code of several atoms is the product of their
+    antipodes, S(A) = S(A_t)...S(A_1), refused before it is multiplied when
+    its Π|S(atom)| terms exceed the work limit; a two-block atom is in closed
+    form (``_two_blocks``), and a wider atom is the last-part sum at the top
+    of its table (``_table_sum``)."""
+    got = memo.get(code)
+    if got is not None:
+        return got
+    if pieces is None:
+        pieces = _code_cut(code)
+    if len(pieces) > 1:
+        factors = [_antipode_of(memo, atom, (atom,)) for atom in pieces]
+        _check_work(math.prod(map(len, factors)), _PRODUCT_MESSAGE)
+        # Every term of an atom's antipode has the atom's block count, so no
+        # two products of the factors' terms coincide.  The product runs
+        # from the last atom, so each factor appended is shifted once, by
+        # the width of the atoms after it.
+        got, width = factors[-1], 0
+        for atom, factor in zip(pieces[::-1], factors[-2::-1]):
+            width += _blocks(atom)
             # A bytes code has at most 255 blocks, and so has every partial
             # product; a tuple code's products go through _concat.
             if isinstance(code, bytes):
-                shift = _SHIFT[width(atom)]
-                tails = [(y.translate(shift), cy) for y, cy in got.items()]
-                got = {x + y: cx * cy for x, cx in factor.items() for y, cy in tails}
+                shift = _SHIFT[width]
+                tails = [(y.translate(shift), cy) for y, cy in factor.items()]
+                got = {x + y: cx * cy for x, cx in got.items() for y, cy in tails}
             else:
-                got = {_concat(x, y): cx * cy for x, cx in factor.items() for y, cy in got.items()}
-        return got
+                got = {_concat(x, y): cx * cy for x, cx in got.items() for y, cy in factor.items()}
+    elif (t := _blocks(code)) == 1 or not pieces:
+        # The t blocks in reverse order: A's code reversed, each label l read
+        # as t - 1 - l.
+        labels = [t - 1 - label for label in reversed(code)]
+        got = {bytes(labels) if isinstance(code, bytes) else tuple(labels): (-1) ** t}
+    elif t == 2:
+        got = _two_blocks(code, code.count(0))
+    else:
+        got = _table_sum(memo, code, first=False)
+    memo[code] = got
+    return got
 
-    def part_sum(code, first):
-        # The first- or last-part sum of a code, on the code's one table.
-        subs = _all_splits(code)
-        r = len(subs).bit_length() - 1
-        # Up to two blocks, every side of every pair is one block, added in
-        # line: no head is looked up by its mask.
-        if r > 2:
-            mask_of = dict(zip(subs, range(len(subs))))
-            labels = [(1 << (r - 1 - l), code.find(l), code.rfind(l)) for l in range(r)]
 
-        def by_mask(mask):
-            head = subs[mask]
-            got = memo.get(head)
-            if got is None:
-                atoms, reach = [], -1
-                for bit, start, end in labels:
-                    if mask & bit:
-                        if start > reach:
-                            atoms.append(bit)
-                        else:
-                            atoms[-1] |= bit
-                        if end > reach:
-                            reach = end
-                k = mask.bit_count()
-                if len(atoms) == k:
-                    got = flipped(head, k)
-                elif len(atoms) == 1:
-                    got = summed(mask, False)
-                else:
-                    got = multiplied(head, atoms, int.bit_count, by_mask)
-                memo[head] = got
-            return got
+_PRODUCT_MESSAGE = "antipode of a product of atoms: predicted Π|S(atom)| {count} terms"
 
-        def summed(mask, first):
-            # The pairs (std(A|H), std(A|mask ^ H), |H|) over the sub-masks H
-            # of the mask, read off the table from the top down.  The
-            # last-part sum takes every H but the mask and 0, a one-block
-            # head giving -S(head) * rest = head * rest; the first-part sum,
-            # on the whole table, the H holding label 0 (the top bit) but the
-            # mask, a one-block rest giving -head * rest.
-            single, sign, low = 1, 1, 1
-            if first:
-                single, sign, low = mask.bit_count() - 1, -1, (mask + 1) // 2
-            out, counts, shift = {subs[mask]: -sign}, {}, _SHIFT[single]
-            sub = mask
-            while (sub := (sub - 1) & mask) >= low:
-                # Each triple is its own count key, built once per pair.
-                triple = subs[sub], subs[mask ^ sub], sub.bit_count()
-                if triple[2] == single:
-                    head, tail, _ = triple
-                    key = head + tail.translate(shift)
-                    out[key] = out.get(key, 0) + sign
-                else:
-                    counts[triple] = counts.get(triple, 0) + 1
-            for (head, tail, k), n in counts.items():
-                shift = _SHIFT[k]
-                # A memo hit skips the call: no antipode is empty.
-                if first:
-                    for q, c in (memo.get(tail) or by_mask(mask_of[tail])).items():
-                        key = head + q.translate(shift)
-                        out[key] = out.get(key, 0) + n * c
-                else:
-                    tail = tail.translate(shift)
-                    for q, c in (memo.get(head) or by_mask(mask_of[head])).items():
-                        key = q + tail
-                        out[key] = out.get(key, 0) - n * c
-            return _nonzero(out)
 
-        return summed(len(subs) - 1, first)
+def _table_sum(memo, code, first):
+    """The last-part sum (an atom's antipode) or the first-part sum of a
+    code of at most 255 blocks, on its one table of 2^r splits.
 
-    def antipode_of(code, pieces=None):
-        got = memo.get(code)
-        if got is None:
-            if pieces is None:
-                pieces = _code_cut(code)
-            if len(pieces) > 1:
-                got = multiplied(code, pieces, _blocks, lambda atom: antipode_of(atom, [atom]))
-            elif len(pieces) == 1 < _blocks(code):
-                got = part_sum(code, False)
-            else:
-                # No cut (every atom one block), or one block.
-                got = flipped(code, _blocks(code))
-            memo[code] = got
-        return got
+    Restriction and standardization compose, so the head at label mask M is
+    the table's entry at M, and its splits are the entries at M's sub-masks,
+    each numerically smaller than M.  So the table is swept bottom-up first
+    (``_sweep``), which leaves every head's antipode in the memo, and the sum
+    asked for is then taken at the top (``_part_sum``).  The last-part sum
+    reads the heads at every mask below the top, and the first-part sum only
+    the tails in the lower half, the masks without label 0."""
+    subs = _all_splits(code)
+    top = len(subs) - 1
+    _sweep(memo, code, subs, (top + 1) // 2 if first else top)
+    return _part_sum(memo, subs, top, first)
 
-    return antipode_of, functools.partial(part_sum, first=True)
+
+def _sweep(memo, code, subs, end):
+    """Put S of the head at every mask M below ``end`` into the memo, M
+    running up from 1, so that every sub-mask of M comes before it.
+
+    Each mask is cut in O(1) from the mask R without its highest label l,
+    its lowest bit: M's last atom is {l} when l's first position lies past
+    every label of R's last (``reach``), and R's last atom with l added
+    otherwise.  A mask whose code the memo holds is skipped; a one-block
+    head is its negative, a non-atomic mask is one binary product, S(M) =
+    S(L)·S(M ^ L) for its last atom L (refused as the product over the atoms
+    is, since |S(L)|·|S(M ^ L)| is the same count), a two-block atom is in
+    closed form (``_two_blocks``), and a wider atom is its last-part sum
+    (``_part_sum``).  What the sweep builds besides the memo dies with it,
+    before the top's sum."""
+    r = (len(subs) - 1).bit_length()
+    # Label l's first and last positions, keyed by its mask bit.
+    spans = {1 << (r - 1 - label): (code.find(label), code.rfind(label)) for label in range(r)}
+    # reach[M] is the last position of M's labels, last[M] its last atom.
+    reach, last = [-1] * end, [0] * end
+    for mask in range(1, end):
+        low = mask & -mask
+        rest = mask ^ low
+        start, stop = spans[low]
+        before = reach[rest]
+        atom = last[mask] = low if start > before else last[rest] | low
+        reach[mask] = stop if stop > before else before
+        head = subs[mask]
+        if head in memo:
+            continue
+        if atom != mask:
+            factor, other = memo[subs[atom]], memo[subs[mask ^ atom]]
+            _check_work(len(factor) * len(other), _PRODUCT_MESSAGE)
+            shift = _SHIFT[atom.bit_count()]
+            tails = [(y.translate(shift), cy) for y, cy in other.items()]
+            memo[head] = {x + y: cx * cy for x, cx in factor.items() for y, cy in tails}
+        elif not rest:
+            memo[head] = {head: -1}
+        elif not rest & (rest - 1):
+            memo[head] = _two_blocks(head, len(subs[rest]))
+        else:
+            memo[head] = _part_sum(memo, subs, mask, False)
+
+
+def _part_sum(memo, subs, mask, first):
+    """The last-part sum of the atom at ``mask``, or the first-part sum of
+    the whole table, whose ``mask`` is its top, over the pairs (std(A|H),
+    std(A|mask ^ H), |H|) of the sub-masks H of the mask, read off the table
+    ``subs`` from the top down; every antipode it reads is in the memo.
+
+    The last-part sum takes every H but the mask and 0, starting from -A: a
+    one-block head gives -S(head) * rest = head * rest in line.  The
+    first-part sum takes the H holding label 0 (the top bit) but the mask,
+    starting from +A: a one-block rest gives -head * rest in line.  The
+    other pairs are counted first, equal (head, tail, k) splits on a plain
+    dict, k being the head's block count.  Every term of an antipode has its
+    code's block count, so the last-part sum shifts each distinct tail up by
+    k once and a product is the bare ``q + tail``; the first-part sum shifts
+    each q of S(tail) and appends it to the head."""
+    single, sign, low = 1, 1, 1
+    if first:
+        single, sign, low = mask.bit_count() - 1, -1, (mask + 1) // 2
+    out, counts, shift = {subs[mask]: -sign}, {}, _SHIFT[single]
+    sub = mask
+    while (sub := (sub - 1) & mask) >= low:
+        # Each triple is its own count key, built once per pair.
+        triple = subs[sub], subs[mask ^ sub], sub.bit_count()
+        if triple[2] == single:
+            key = triple[0] + triple[1].translate(shift)
+            out[key] = out.get(key, 0) + sign
+        else:
+            counts[triple] = counts.get(triple, 0) + 1
+    for (head, tail, k), n in counts.items():
+        shift = _SHIFT[k]
+        if first:
+            for q, c in memo[tail].items():
+                key = head + q.translate(shift)
+                out[key] = out.get(key, 0) + n * c
+        else:
+            tail = tail.translate(shift)
+            for q, c in memo[head].items():
+                key = q + tail
+                out[key] = out.get(key, 0) - n * c
+    return _nonzero(out)
 
 
 def _factored_codes(terms):
     """The default route on a map of codes to coefficients: a dict of the
     antipode's codes to coefficients, owned by the caller.
 
-    Each nonempty code is cut into atoms once, a code whose labels never
-    decrease with no scan (its atoms are its blocks), and the 3^r splits of
-    the widest atom are checked against the work limit before any work; one
+    Each code is cut into atoms once, a code whose labels never decrease
+    with no scan (its atoms are its blocks), and the 3^r splits of the
+    widest atom are checked against the work limit before any work; one
     kernel, and so one memo, serves all the terms.  A single term with
     coefficient 1 gets the kernel's own dict, uncopied.
     """
-    cuts = {code: _code_cut(code) for code in terms if code}
-    r = max(map(_blocks, itertools.chain.from_iterable(cuts.values())), default=0)
+    if len(terms) == 1:
+        ((code, coeff),) = terms.items()
+        # The widest atom's block count is one more than its largest label.
+        pieces = _code_cut(code)
+        _check_splits("antipode of an atom", max(map(max, pieces), default=-1) + 1)
+        # The kernel's memo dies with this call, so its dict can be handed on.
+        got = _kernel()[0](code, pieces)
+        return got if coeff == 1 else {q: coeff * c for q, c in got.items()}
+    cuts = {code: _code_cut(code) for code in terms}
+    r = max(map(max, itertools.chain.from_iterable(cuts.values())), default=-1) + 1
     _check_splits("antipode of an atom", r)
     antipode_of, _ = _kernel()
-    if len(terms) == 1:
-        # The kernel's memo dies with this call, so its dict can be handed on.
-        ((code, coeff),) = terms.items()
-        got = antipode_of(code, cuts.get(code))
-        return got if coeff == 1 else {q: coeff * c for q, c in got.items()}
     out = {}
     for code, coeff in terms.items():
-        for q, c in antipode_of(code, cuts.get(code)).items():
+        for q, c in antipode_of(code, cuts[code]).items():
             out[q] = out.get(q, 0) + coeff * c
     return _nonzero(out)
 
@@ -702,32 +730,34 @@ def antipode_factored(part):
     """Antipode by atoms: the default route.
 
     S is an antimorphism over the atomic splitting, S(A) = S(A_t)...S(A_1).
-    An atom's antipode is its signed composition sum, taken by recursion on
-    the last part, the rest of K: S(A) = -sum over K short of all blocks of
-    S(std(A|K)) * std(A|rest), with equal (head, tail) splits combined and
-    each head's antipode again by atoms; a one-block partition is primitive,
-    so S(p_[n]) = -p_[n] with no recursion.  Every partition met is a
-    standardized sub-partition of one input atom, memoized for this call
-    only, so an atom of r blocks costs at most 3^r head/tail pairs and a
-    many-atom input the sum of its atoms' costs.  A partition whose blocks
-    are its atoms (its labels never decrease) is answered with no cut and
-    no split: its blocks reversed, with sign (-1)^t.
+    An atom's antipode is its signed composition sum, taken by its last
+    part, the rest of K: S(A) = -sum over K short of all blocks of
+    S(std(A|K)) * std(A|rest), with equal (head, tail) splits combined; a
+    one-block partition is primitive, so S(p_[n]) = -p_[n], and a two-block
+    atom is -A + p_a·p_b + p_b·p_a, for blocks of sizes a and b, with no
+    split.  Every partition met is a standardized sub-partition of one input
+    atom, memoized for this call only, so an atom of r blocks costs at most
+    3^r head/tail pairs and a many-atom input the sum of its atoms' costs.  A
+    partition whose blocks are its atoms (its labels never decrease) is
+    answered with no cut and no split: its blocks reversed, with sign (-1)^t.
 
     The whole route runs on codes (see ``_encode``), which are canonical by
-    construction.  Each input atom is split once, into its 2^r byte
-    translates (``_all_splits``), and every head below it is read off that
-    table by its label mask: the head at mask J splits into the entries at
-    J's sub-masks and is cut into atoms from each label's first and last
-    positions, so no head is split or cut again (see ``_kernel``).  Each
-    distinct tail's labels are shifted up once by the head's block count,
-    read off the head's split index, a product is ``q + tail``, and no
-    partition is built, sorted or checked inside.  An
-    input whose widest atom's 3^r splits exceed the work limit (13 blocks or
-    more) is refused before any work, and a product over the atoms with more
-    terms than the limit before it is multiplied; the product keys past 255
-    blocks by a tuple.  This checks the partition and runs the code-level
-    body that the element-level ``antipode`` runs on its terms; the empty
-    partition gives the unit.
+    construction.  Each input atom of three or more blocks is split once,
+    into its 2^r byte translates (``_all_splits``), whose entry at label mask
+    J is the head std(A|J); its masks are then swept bottom-up, in increasing
+    order, so every sub-mask of J, being smaller, is done before J (see
+    ``_sweep``).  Each mask's last atom is cut in O(1) from the mask without
+    its highest label, a non-atomic mask is the binary product S(L)·S(J ^ L)
+    of its last atom L and the rest, and an atomic mask is its last-part sum
+    over its sub-masks; no head is split or cut again.  Each distinct tail's
+    labels are shifted up once by the head's block count, read off the
+    head's split index, a product is ``q + tail``, and no partition is
+    built, sorted or checked inside.  An input whose widest atom's 3^r splits
+    exceed the work limit (13 blocks or more) is refused before any work,
+    and a product over the atoms with more terms than the limit before it is
+    multiplied; the product keys past 255 blocks by a tuple.  This checks the
+    partition and runs the code-level body that the element-level
+    ``antipode`` runs on its terms; the empty partition gives the unit.
     """
     return NCSymElement._wrap(_factored_codes({_basis_code(part): 1}))
 

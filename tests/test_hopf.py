@@ -485,8 +485,9 @@ class TestAntipode:
 
     def test_each_code_cut_into_atoms_once(self, monkeypatch):
         # The kernel cuts only the element's own codes, and splits each
-        # distinct atom it sums once: every head's splits and atoms are read
-        # off that atom's table by label mask.
+        # distinct atom of three or more blocks it sums once: every head's
+        # splits and atoms are read off that atom's table by label mask.  A
+        # two-block atom is answered in closed form, with no split.
         cuts, splits = collections.Counter(), collections.Counter()
         cut, split = hopf._code_atoms, hopf._all_splits
 
@@ -506,7 +507,7 @@ class TestAntipode:
         monkeypatch.setattr(hopf, "_all_splits", counted_split)
         assert antipode(x) == want[0]
         assert cuts == {_encode(P("13.2.4.57.6")): 1, _encode(P("13.2")): 1}
-        assert splits == {_encode(P("13.2")): 1}
+        assert not splits
         for call in (lambda: antipode(E(atom)), lambda: antipode_factored(atom)):
             cuts.clear(), splits.clear()
             assert call() == want[1]
@@ -547,6 +548,21 @@ class TestAntipode:
         for atom in atoms:
             a, b = (E(SetPartition([tuple(range(1, len(block) + 1))])) for block in atom.blocks)
             assert antipode(E(atom)) == antipode_direct(atom) == -E(atom) + a * b + b * a
+
+    def test_two_block_atoms_answered_without_a_split(self, monkeypatch):
+        # S(A) = -A + p_a·p_b + p_b·p_a needs no table, alone or beside
+        # other atoms.
+        atoms = [a for n in range(2, 9) for a in atomic_set_partitions(n) if a.length == 2]
+        want = {atom: antipode_direct(atom) for atom in atoms}
+
+        def unreached(code):
+            raise AssertionError(f"split {code!r}")
+
+        monkeypatch.setattr(hopf, "_all_splits", unreached)
+        for atom in atoms:
+            assert antipode(E(atom)) == antipode_factored(atom) == want[atom], atom
+        x = E(P("13.2")) * E(P("1")) * E(P("124.3"))
+        assert antipode(x) == want[P("124.3")] * -E(P("1")) * want[P("13.2")]
 
     @pytest.mark.parametrize("k", [1, 2, 3, 6, 11, 12, 300])
     def test_one_block_atoms_answered_reversed(self, k, monkeypatch):

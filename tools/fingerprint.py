@@ -12,6 +12,9 @@ One ``<sha256>  <what>`` line each for:
   partition of weight 7;
 * the same, in one line, on four wide atoms that weight 7 never reaches,
   of 6, 11, 12 and 12 blocks (``WIDE_ATOMS``);
+* the same, in one line, on every atomic partition of weight 8, in
+  ``atomic_set_partitions`` order: every shape of up to 8 blocks that an
+  atom's table of splits can take, two-block atoms included;
 * the refusals, one ``<type>: <message>`` line per call, of each
   integer-argument entry point called with -1, True, 1.5 and "2", and of
   each route that predicts 3^r splits (``antipode_factored``,
@@ -110,6 +113,10 @@ def main():
     atoms = [SetPartition.parse(text) for text in WIDE_ATOMS]
     text = "".join(f"{calls[name](atom)}\n" for atom in atoms for name in names)
     print(f"{_digest(text.encode())}  antipode_factored and primitive on {len(atoms)} wide atoms")
+    atoms = list(setparts.atomic_set_partitions(8))
+    text = "".join(f"{calls[name](atom)}\n" for atom in atoms for name in names)
+    what = f"antipode_factored and primitive on the {len(atoms)} atomic partitions of weight 8"
+    print(f"{_digest(text.encode())}  {what}")
     integer_calls = [
         lambda n: SetPartition.parse("12.3").shift(n),
         set_partitions,
