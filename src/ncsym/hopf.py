@@ -8,9 +8,9 @@ set compositions; the default route by atoms, which applies the antipode as
 an antimorphism over the atomic splitting and evaluates each atom's
 composition sum by its last part (at most 3^r head/tail pairs for an atom
 of r blocks, against Fubini(r) compositions; none for a single block, whose
-antipode is its negative since it is primitive, and none for two blocks,
-answered in closed form), in one bottom-up sweep over the label masks of
-the atom's one table of 2^r splits; and a memoized graded-connected
+antipode is its negative since it is primitive, and none for two or three
+blocks, answered in closed form), in one bottom-up sweep over the label
+masks of the atom's one table of 2^r splits; and a memoized graded-connected
 recursion used as an independent oracle.  The primitive generators, their
 leading-term order, and the Hall bracket basis of the primitive Lie algebra
 live here too.
@@ -34,19 +34,20 @@ at 1, is computed as primitive(A) = sum over the block sets K holding block
 anchored composition into its first part K and a composition of the rest;
 the signed sum over those is the antipode of the rest, with the sign of the
 first part moved onto it.  So ``primitive`` runs on the default antipode
-route's kernel, which keeps this first-part sum for primitives beside the
-last-part sum it takes each atom's antipode by, since the primitive needs S
-on the right factor.  Its tails never hold label 0, so it sweeps only the
-lower half of the code's table, the masks without label 0, before its one
-sum at the top, in the same pair loop as the last-part sum (``_part_sum``);
-the anchored sum itself (``_primitive_anchored``) referees it in ``verify``
-and the tests.  Every primitive is taken from one
-private source, ``_primitives()``: built on one kernel, it maps a partition,
-or a Hall tree of atoms, to its element and keeps each leaf and each bracket
-subtree for its lifetime.  ``primitive`` and ``hall_primitive`` read a fresh
-source per call, after their checks on the letters (``hall_primitive`` then
-predicts its word's size from the letters' primitives); the Hall span and
-``verify``'s unitriangular check read one source for all their trusted atoms.
+route's kernel, one memo dict per call read by plain functions, which
+keeps this first-part sum for primitives beside the last-part sum it takes
+each atom's antipode by, since the primitive needs S on the right factor.
+Its tails never hold label 0, so it sweeps only the lower half of the
+code's table, the masks without label 0, before its one sum at the top, in
+the same pair loop as the last-part sum (``_part_sum``); the anchored sum
+itself (``_primitive_anchored``) referees it in ``verify`` and the tests.
+Every primitive is taken from one private source, ``_primitives()``: built
+on one kernel, it maps a partition, or a Hall tree of atoms, to its element
+and keeps each leaf and each bracket subtree for its lifetime.
+``primitive`` and ``hall_primitive`` read a fresh source per call, after
+their checks on the letters (``hall_primitive`` then predicts its word's
+size from the letters' primitives); the Hall span and ``verify``'s
+unitriangular check read one source for all their trusted atoms.
 
 The antipode also has a cancellation-free formula, checked in the tests but
 not a route (it measured slower than the default one): S(p_A) = sum of
@@ -74,8 +75,9 @@ positions and moves every higher label down by one (``_all_splits``), so
 entry i keeps i.bit_count() labels and the default route reads each head's
 block count off its index.  Restriction and standardization compose, so
 the splits of the head at label mask J are the entries at J's sub-masks,
-each numerically smaller than J: the default route splits each atom once
-and sweeps its masks in increasing order, with no recursion (``_sweep``).
+each numerically smaller than J: the default route splits each atom of
+four or more blocks once and sweeps its masks in increasing order, with no
+recursion (``_sweep``).
 Each mask is cut into atoms in O(1) from the mask without its highest
 label, a non-atomic mask is one binary product of antipodes already in the
 memo, S(M) = S(L)·S(M ^ L) for its last atom L, and an atomic one is summed
@@ -87,9 +89,10 @@ shifted up by the first's block count.
 keyed by codes: one per ``NCSymElement`` term, a pair per ``TensorElement``
 term.  Partitions are made only at the boundary, and every entry point that
 takes one checks and encodes it through ``_basis_code``, the one input
-check: the public constructors (which ``serialize`` decodes through),
-``from_partition``, ``pure``, the antipode routes, ``primitive`` and
-``_primitive_anchored``; ``coefficient`` answers 0 for a key it refuses.
+check, which refuses a partition that is not standard in the one scan
+that encodes it: the public constructors (which ``serialize`` decodes
+through), ``from_partition``, ``pure``, the antipode routes, ``primitive``
+and ``_primitive_anchored``; ``coefficient`` answers 0 for a key it refuses.
 ``items``, ``support`` and the text forms sort the terms on their codes, by
 ``_code_text`` (the extended-form string, ``SetPartition.sort_key``) or
 ``_code_order`` (the atom order, ``partition_key``), both built without a
@@ -166,7 +169,8 @@ MAX_PARTS = 10
 def _encode(part):
     """Code of a standard partition: entry i is the index, in block-minima
     order, of the block holding i + 1; ``bytes`` up to 255 blocks, else a
-    tuple."""
+    tuple.  Element e is written at index e - 1 of a list as long as the
+    weight, so a partition that is not standard raises ``IndexError``."""
     code = [0] * part.weight
     for label, block in enumerate(part.blocks):
         for e in block:
@@ -213,13 +217,16 @@ def _concat(x, y):
 
 
 def _basis_code(part):
-    """Code of an element's term key, after checking that it is a standard
-    partition."""
+    """Code of an element's term key, checked to be a standard partition in
+    the one scan that encodes it: the elements are distinct positive ints,
+    so one past the weight, which ``_encode``'s list cannot index, is met
+    exactly when the partition is not standard."""
     if not isinstance(part, SetPartition):
         raise TypeError(f"term keys must be SetPartition, got {type(part).__name__}")
-    if not part.is_standard():
-        raise ValueError(f"element terms must be standard partitions, got {part!r}")
-    return _encode(part)
+    try:
+        return _encode(part)
+    except IndexError:
+        raise ValueError(f"element terms must be standard partitions, got {part!r}") from None
 
 
 def _tensor_code(pair):
@@ -361,10 +368,9 @@ class NCSymElement(_Combination):
 
     @classmethod
     def from_partition(cls, part):
-        # One term, checked once: nothing to sum or scan.
-        self = object.__new__(cls)
-        self._terms = dict((self._checked((part, 1)),))
-        return self
+        # One term, checked once, whose coefficient is the int 1: nothing to
+        # sum, scan or check besides the key.
+        return cls._wrap({_basis_code(part): 1})
 
     @classmethod
     def unit(cls):
@@ -529,23 +535,42 @@ def _two_blocks(code, a):
     return {code: -1, ab: 1, ba: 1} if a != b else {code: -1, ab: 2}
 
 
-def _kernel():
-    """The default route's antipode on codes, memoized for one call.
+def _three_blocks(code):
+    """S(A) of a three-block atom A, in closed form: its last-part sum over
+    its six proper label sets, with no split.  For each label l, of a block
+    of s entries, let D be the two-block code of the other labels, of block
+    sizes a and b: the one-block head {l} adds +p_s·D, and the head D adds
+    -S(D)·p_s, where S(D) = -D + p_a·p_b + p_b·p_a for any two-block D,
+    atomic or not (for D = p_a·p_b it is p_b·p_a), so one form serves both.
+    A three-label mask inside a wider atom's sweep keeps its last-part sum
+    (``_part_sum``), which reads the table where this would translate."""
+    out = {code: -1}
+    for table, drop in _DROP[:3]:
+        rest = code.translate(table, drop)
+        s, a = len(code) - len(rest), rest.count(0)
+        b, tail = len(rest) - a, b"\2" * s
+        # p_s·D and D·p_s, then p_a·p_b·p_s and p_b·p_a·p_s.
+        for key in (bytes(s) + rest.translate(_SHIFT[1]), rest + tail):
+            out[key] = out.get(key, 0) + 1
+        for key in (bytes(a) + b"\1" * b + tail, bytes(b) + b"\1" * a + tail):
+            out[key] = out.get(key, 0) - 1
+    return _nonzero(out)
 
-    Returns ``antipode_of(code, pieces=None)``, a dict of codes to
-    coefficients, where ``pieces`` may hand over the code's ``_code_cut``
-    when the caller has already cut it, and ``first_part_sum(code)``, the
-    anchored sum over the label sets K holding label 0 of std(A|K) *
-    S(std(A|rest)), which a primitive needs with S on the right factor.
-    Both are plain functions of this call's memo, which is keyed by code, so
-    each distinct code's antipode is taken once, whichever table meets it
-    first; every dict returned holds no zero, so an element may take it
+
+def _kernel():
+    """A fresh memo of the default route, for one call: a dict keyed by
+    code, on which ``_antipode_of(memo, code, pieces)`` takes S of a code and
+    ``_table_sum(memo, code, True)`` its first-part sum, the anchored sum
+    over the label sets K holding label 0 of std(A|K) * S(std(A|rest)),
+    which a primitive needs with S on the right factor.
+
+    Each distinct code's antipode is taken once, whichever table meets it
+    first; every dict they return holds no zero, so an element may take it
     unscanned.  Callers may keep the dicts returned, and must not change them
-    while the kernel is in use; the memo dies with the kernel, so a caller
-    done with it may take a dict over.
+    while the memo is in use; the memo dies with the call, so a caller done
+    with it may take a dict over.
     """
-    memo = {b"": {b"": 1}}
-    return functools.partial(_antipode_of, memo), functools.partial(_table_sum, memo, first=True)
+    return {b"": {b"": 1}}
 
 
 def _antipode_of(memo, code, pieces=None):
@@ -553,9 +578,9 @@ def _antipode_of(memo, code, pieces=None):
     whose atoms are all one block is one term, its t blocks reversed with
     sign (-1)^t; any other code of several atoms is the product of their
     antipodes, S(A) = S(A_t)...S(A_1), refused before it is multiplied when
-    its Π|S(atom)| terms exceed the work limit; a two-block atom is in closed
-    form (``_two_blocks``), and a wider atom is the last-part sum at the top
-    of its table (``_table_sum``)."""
+    its Π|S(atom)| terms exceed the work limit; a two- or three-block atom is
+    in closed form (``_two_blocks``, ``_three_blocks``), and a wider atom is
+    the last-part sum at the top of its table (``_table_sum``)."""
     got = memo.get(code)
     if got is not None:
         return got
@@ -586,6 +611,8 @@ def _antipode_of(memo, code, pieces=None):
         got = {bytes(labels) if isinstance(code, bytes) else tuple(labels): (-1) ** t}
     elif t == 2:
         got = _two_blocks(code, code.count(0))
+    elif t == 3:
+        got = _three_blocks(code)
     else:
         got = _table_sum(memo, code, first=False)
     memo[code] = got
@@ -712,16 +739,15 @@ def _factored_codes(terms):
         # The widest atom's block count is one more than its largest label.
         pieces = _code_cut(code)
         _check_splits("antipode of an atom", max(map(max, pieces), default=-1) + 1)
-        # The kernel's memo dies with this call, so its dict can be handed on.
-        got = _kernel()[0](code, pieces)
+        # The memo dies with this call, so its dict can be handed on.
+        got = _antipode_of(_kernel(), code, pieces)
         return got if coeff == 1 else {q: coeff * c for q, c in got.items()}
     cuts = {code: _code_cut(code) for code in terms}
     r = max(map(max, itertools.chain.from_iterable(cuts.values())), default=-1) + 1
     _check_splits("antipode of an atom", r)
-    antipode_of, _ = _kernel()
-    out = {}
+    memo, out = _kernel(), {}
     for code, coeff in terms.items():
-        for q, c in antipode_of(code, cuts[code]).items():
+        for q, c in _antipode_of(memo, code, cuts[code]).items():
             out[q] = out.get(q, 0) + coeff * c
     return _nonzero(out)
 
@@ -733,16 +759,18 @@ def antipode_factored(part):
     An atom's antipode is its signed composition sum, taken by its last
     part, the rest of K: S(A) = -sum over K short of all blocks of
     S(std(A|K)) * std(A|rest), with equal (head, tail) splits combined; a
-    one-block partition is primitive, so S(p_[n]) = -p_[n], and a two-block
-    atom is -A + p_a·p_b + p_b·p_a, for blocks of sizes a and b, with no
-    split.  Every partition met is a standardized sub-partition of one input
-    atom, memoized for this call only, so an atom of r blocks costs at most
-    3^r head/tail pairs and a many-atom input the sum of its atoms' costs.  A
-    partition whose blocks are its atoms (its labels never decrease) is
-    answered with no cut and no split: its blocks reversed, with sign (-1)^t.
+    one-block partition is primitive, so S(p_[n]) = -p_[n], a two-block
+    atom is -A + p_a·p_b + p_b·p_a, for blocks of sizes a and b, and a
+    three-block atom is its last-part sum written out (``_three_blocks``),
+    both with no split.  Every partition met is a standardized sub-partition
+    of one input atom, memoized for this call only, so an atom of r blocks
+    costs at most 3^r head/tail pairs and a many-atom input the sum of its
+    atoms' costs.  A partition whose blocks are its atoms (its labels never
+    decrease) is answered with no cut and no split: its blocks reversed,
+    with sign (-1)^t.
 
     The whole route runs on codes (see ``_encode``), which are canonical by
-    construction.  Each input atom of three or more blocks is split once,
+    construction.  Each input atom of four or more blocks is split once,
     into its 2^r byte translates (``_all_splits``), whose entry at label mask
     J is the head std(A|J); its masks are then swept bottom-up, in increasing
     order, so every sub-mask of J, being smaller, is done before J (see
@@ -916,22 +944,23 @@ def leading_term(x):
 
 
 def _primitives():
-    """One source of primitives, on one ``_kernel()`` for its lifetime.
+    """One source of primitives, on one ``_kernel()`` memo for its lifetime.
 
     Returns ``of(tree)``.  A tree that is a standard partition gives its
     primitive; a Hall tree of atoms, a pair of subtrees, gives the bracket
     left * right - right * left of its subtrees' elements.  Each leaf and
-    each bracket subtree is taken once per source, and every primitive
-    reads the one kernel memo, so the antipodes of the tails they share are
-    each taken once.  The trees are trusted: callers check the leaves and
-    their 3^r limit first, and ``hall_primitive`` its tree's size.
+    each bracket subtree is taken once per source, and every primitive is
+    the first-part sum (``_table_sum``) on the one memo, so the antipodes of
+    the tails they share are each taken once.  The trees are trusted:
+    callers check the leaves and their 3^r limit first, and
+    ``hall_primitive`` its tree's size.
     """
-    _, first_part_sum = _kernel()
+    memo = _kernel()
 
     @functools.cache
     def of(tree):
         if isinstance(tree, SetPartition):
-            return NCSymElement._wrap(first_part_sum(_encode(tree)))
+            return NCSymElement._wrap(_table_sum(memo, _encode(tree), True))
         left, right = of(tree[0]), of(tree[1])
         return left * right - right * left
 

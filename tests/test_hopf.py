@@ -485,9 +485,9 @@ class TestAntipode:
 
     def test_each_code_cut_into_atoms_once(self, monkeypatch):
         # The kernel cuts only the element's own codes, and splits each
-        # distinct atom of three or more blocks it sums once: every head's
+        # distinct atom of four or more blocks it sums once: every head's
         # splits and atoms are read off that atom's table by label mask.  A
-        # two-block atom is answered in closed form, with no split.
+        # two- or three-block atom is answered in closed form, with no split.
         cuts, splits = collections.Counter(), collections.Counter()
         cut, split = hopf._code_atoms, hopf._all_splits
 
@@ -550,19 +550,37 @@ class TestAntipode:
             assert antipode(E(atom)) == antipode_direct(atom) == -E(atom) + a * b + b * a
 
     def test_two_block_atoms_answered_without_a_split(self, monkeypatch):
-        # S(A) = -A + p_a·p_b + p_b·p_a needs no table, alone or beside
-        # other atoms.
-        atoms = [a for n in range(2, 9) for a in atomic_set_partitions(n) if a.length == 2]
+        # Two- and three-block atoms are in closed form: S(A) = -A + p_a·p_b
+        # + p_b·p_a, and the six-term last-part sum of _three_blocks.  Neither
+        # needs a table, alone or beside other atoms; a four-block atom is
+        # still split, once.
+        atoms = [a for n in range(2, 9) for a in atomic_set_partitions(n) if a.length in (2, 3)]
+        assert len(atoms) == 219 + 1007
         want = {atom: antipode_direct(atom) for atom in atoms}
+        split, splits = hopf._all_splits, collections.Counter()
 
         def unreached(code):
             raise AssertionError(f"split {code!r}")
 
         monkeypatch.setattr(hopf, "_all_splits", unreached)
+        one = E(P("1"))
         for atom in atoms:
             assert antipode(E(atom)) == antipode_factored(atom) == want[atom], atom
-        x = E(P("13.2")) * E(P("1")) * E(P("124.3"))
-        assert antipode(x) == want[P("124.3")] * -E(P("1")) * want[P("13.2")]
+            assert antipode(E(atom) * one) == -one * want[atom], atom
+        x = E(P("13.2")) * one * E(P("124.3"))
+        assert antipode(x) == want[P("124.3")] * -one * want[P("13.2")]
+        x = E(P("1346.27.5")) * one * E(P("167.234.5"))
+        assert antipode(x) == want[P("167.234.5")] * -one * want[P("1346.27.5")]
+
+        def counted(code):
+            splits[code] += 1
+            return split(code)
+
+        monkeypatch.setattr(hopf, "_all_splits", counted)
+        wide = P("15.2.3.4")
+        x = E(wide) * E(P("1346.27.5"))
+        assert antipode(x) == want[P("1346.27.5")] * antipode_direct(wide)
+        assert splits == {_encode(wide): 1}
 
     @pytest.mark.parametrize("k", [1, 2, 3, 6, 11, 12, 300])
     def test_one_block_atoms_answered_reversed(self, k, monkeypatch):
@@ -586,12 +604,12 @@ class TestAntipode:
 
     def test_kernel_dicts_hold_no_zero(self):
         # Elements take the kernel's dicts unscanned.
-        antipode_of, first_part_sum = hopf._kernel()
+        memo = hopf._kernel()
         for n in range(1, 7):
             for part in set_partitions(n):
                 code = _encode(part)
-                assert 0 not in antipode_of(code).values()
-                assert 0 not in first_part_sum(code).values()
+                assert 0 not in hopf._antipode_of(memo, code).values()
+                assert 0 not in hopf._table_sum(memo, code, True).values()
 
     def test_scalar_multiples(self):
         for x in (E(P("1")), E(P("123")), E(P("13.2.4")), E(P("13.2")) * E(P("12"))):
@@ -757,6 +775,29 @@ def test_every_route_checks_its_partition_as_element_keys_are(route):
         assert str(refused.value) == "primitive is undefined on the empty partition"
 
 
+@pytest.mark.parametrize("part", [P("1.3"), P("12.4"), SetPartition([[1], [10**9]])], ids=str)
+def test_non_standard_keys_refused_by_the_encoding(part):
+    # The encoding is the input check: an element past the weight, in a
+    # later block or far past it, is refused with the standard-partition
+    # message, and no IndexError escapes.
+    message = f"element terms must be standard partitions, got {part!r}"
+    calls = [
+        lambda: NCSymElement.from_partition(part),
+        lambda: NCSymElement({part: 1}),
+        lambda: TensorElement.pure(part, P("1")),
+        lambda: TensorElement.pure(P("1"), part),
+        lambda: antipode_factored(part),
+        lambda: antipode_oracle(part),
+        lambda: primitive(part),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == message
+    assert E(P("12")).coefficient(part) == 0
+    assert TensorElement.pure(P("1"), P("1")).coefficient((part, P("1"))) == 0
+
+
 class TestReducedCoproduct:
     def test_hand_value(self):
         got = reduced_coproduct(E(P("1.2")))
@@ -892,19 +933,19 @@ class TestHallBasis:
         words = [word for n in range(1, 7) for word in lyndon_atom_words(n)]
         want = [leaf_by_leaf(hall_tree(word, key=atom_key)) for word in words]
         kernels, letters = [], []
-        build = hopf._kernel
+        build, table_sum = hopf._kernel, hopf._table_sum
 
         def counted():
-            antipode_of, first_part_sum = build()
-
-            def first_part_sum_counted(code):
-                letters.append(code)
-                return first_part_sum(code)
-
             kernels.append(1)
-            return antipode_of, first_part_sum_counted
+            return build()
+
+        def table_sum_counted(memo, code, first):
+            if first:
+                letters.append(code)
+            return table_sum(memo, code, first)
 
         monkeypatch.setattr(hopf, "_kernel", counted)
+        monkeypatch.setattr(hopf, "_table_sum", table_sum_counted)
         for word, value in zip(words, want):
             kernels.clear(), letters.clear()
             assert hall_primitive(word) == value, word

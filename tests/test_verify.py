@@ -257,18 +257,18 @@ def test_counit_laws_fail_on_a_dropped_leg(monkeypatch):
 
 def test_counit_laws_sum_codes(monkeypatch):
     # The legs are summed on codes: no coproduct term is decoded, and only
-    # the pool's own partitions go through the checking constructor.
+    # the pool's own partitions go through the input check.
     checked = []
-    check = hopf._Combination._checked
+    check = hopf._basis_code
 
-    def counted(self, pair):
-        checked.append(pair)
-        return check(self, pair)
+    def counted(part):
+        checked.append(part)
+        return check(part)
 
     def refused(self, order=None):
         raise AssertionError("a coproduct term was decoded")
 
-    monkeypatch.setattr(hopf._Combination, "_checked", counted)
+    monkeypatch.setattr(hopf, "_basis_code", counted)
     monkeypatch.setattr(hopf.TensorElement, "_decoded", refused)
     [result] = verify.run_checks(max_weight=4, names=["counit-laws"])
     assert result.ok and result.cases == 2 * len(checked) == 2 * sum(setparts.bell_numbers(4))
